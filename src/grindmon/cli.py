@@ -10,7 +10,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import click
@@ -41,21 +40,6 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_WARNING = 3
 EXIT_BURN = 4
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated per-invocation overrides shared by the fitting pipeline."""
-
-    manifest_path: str
-    model_path: str
-    resample_length: int = 512
-    components: int | None = None
-    variance_target: float | None = None
-    priors: tuple[float, float] | None = None
-    ridge: float = DEFAULT_RIDGE
-    warning_fraction: float = 0.8
-    hold_count: int = 1
 
 
 def _exit_2_on_bad_input(fn):
@@ -129,31 +113,21 @@ def simulate(preset_name: str, out_dir: str, seed: int):
 def fit(manifest_path, model_path, resample_length, components, variance_target,
         priors, ridge, warning_fraction, hold_count):
     """Fit the burn classifier on a fully labeled campaign."""
-    config = RunConfig(
-        manifest_path=manifest_path,
-        model_path=model_path,
+    priors = _parse_priors(priors)
+    manifest = load_manifest(manifest_path)
+    bundle, summary = fit_bundle(
+        manifest,
         resample_length=resample_length,
         components=components,
         variance_target=variance_target,
-        priors=_parse_priors(priors),
+        priors=priors,
         ridge=ridge,
-        warning_fraction=warning_fraction,
-        hold_count=hold_count,
-    )
-    manifest = load_manifest(config.manifest_path)
-    bundle, summary = fit_bundle(
-        manifest,
-        resample_length=config.resample_length,
-        components=config.components,
-        variance_target=config.variance_target,
-        priors=config.priors,
-        ridge=config.ridge,
         monitor_config=MonitorConfig(
-            warning_fraction=config.warning_fraction,
-            hold_count=config.hold_count,
+            warning_fraction=warning_fraction,
+            hold_count=hold_count,
         ),
     )
-    save_model(bundle, config.model_path)
+    save_model(bundle, model_path)
     click.echo(f"observations: {summary.n_observations}")
     click.echo(f"samples per trace: {summary.n_samples_per_trace}")
     click.echo(f"components: {summary.n_components}")
@@ -161,7 +135,7 @@ def fit(manifest_path, model_path, resample_length, components, variance_target,
     click.echo(f"class counts: NoBurn={summary.n_noburn} Burn={summary.n_burn}")
     click.echo(f"threshold: {summary.threshold!r}")
     click.echo(f"warning limit: {summary.warning_limit!r}")
-    click.echo(f"model written to {config.model_path}")
+    click.echo(f"model written to {model_path}")
 
 
 def _predictions_csv(manifest, verdicts) -> str:
@@ -249,23 +223,19 @@ def report(model_path, manifest_path, out_path):
     manifest = load_manifest(manifest_path)
     rep = build_report(bundle, manifest)
     csv_text = report_to_csv(rep)
-
-    def summary(line: str, to_stderr: bool):
-        click.echo(line, err=to_stderr)
-
-    to_stderr = out_path is None
+    to_stderr = out_path is None  # keep stdout a clean CSV
     if out_path is None:
         click.echo(csv_text, nl=False)
     else:
         Path(out_path).write_text(csv_text, encoding="utf-8")
         click.echo(f"score table written to {out_path}")
     for j in range(rep.n_components):
-        summary(f"pc_{j + 1} |spearman vs order| = {rep.pc_spearman[j]:.4f}",
-                to_stderr)
-    summary(f"ld1 |spearman vs order| = {rep.ld1_spearman:.4f}", to_stderr)
-    summary(f"wear axis: pc_{rep.wear_axis}", to_stderr)
-    summary(f"threshold = {rep.threshold!r}", to_stderr)
-    summary(f"warning_limit = {rep.warning_limit!r}", to_stderr)
+        click.echo(f"pc_{j + 1} |spearman vs order| = {rep.pc_spearman[j]:.4f}",
+                   err=to_stderr)
+    click.echo(f"ld1 |spearman vs order| = {rep.ld1_spearman:.4f}", err=to_stderr)
+    click.echo(f"wear axis: pc_{rep.wear_axis}", err=to_stderr)
+    click.echo(f"threshold = {rep.threshold!r}", err=to_stderr)
+    click.echo(f"warning_limit = {rep.warning_limit!r}", err=to_stderr)
 
 
 if __name__ == "__main__":

@@ -76,7 +76,6 @@ class ModelBundle:
     lda: LdaModel
     monitor_config: MonitorConfig
     training_fingerprint: str
-    format_version: int = FORMAT_VERSION
 
     def validate(self) -> None:
         self.pca.validate()
@@ -201,12 +200,10 @@ def format_event(event: MonitorEvent) -> str:
 def model_to_json(bundle: ModelBundle) -> str:
     """Canonical text form: fixed field set, sorted keys, shortest floats."""
     bundle.validate()
-    if bundle.pca.scale is not None:
-        raise ValueError("unit-variance scaled PCA models are not representable in format v1")
     doc = {
         "class_means_ld": [float(m) for m in bundle.lda.class_means_ld],
         "direction": [float(v) for v in bundle.lda.direction],
-        "format_version": int(bundle.format_version),
+        "format_version": FORMAT_VERSION,
         "hold_count": int(bundle.monitor_config.hold_count),
         "loadings": [[float(v) for v in row] for row in bundle.pca.loadings],
         "mean": [float(v) for v in bundle.pca.mean],

@@ -24,8 +24,7 @@ class PcaModel:
 
     explained_variance_ratio and n_train describe the fit and are None on
     models rebuilt from a persisted file, which stores only what projection
-    needs.  scale holds per-column standard deviations when unit-variance
-    scaling was requested, else None.
+    needs.
     """
 
     mean: np.ndarray
@@ -33,7 +32,6 @@ class PcaModel:
     singular_values: np.ndarray
     n_train: int | None
     explained_variance_ratio: np.ndarray | None
-    scale: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "mean", np.asarray(self.mean, dtype=float))
@@ -44,8 +42,6 @@ class PcaModel:
                 self, "explained_variance_ratio",
                 np.asarray(self.explained_variance_ratio, dtype=float),
             )
-        if self.scale is not None:
-            object.__setattr__(self, "scale", np.asarray(self.scale, dtype=float))
 
     @property
     def n_variables(self) -> int:
@@ -82,14 +78,13 @@ def _apply_sign_convention(loadings: np.ndarray) -> np.ndarray:
     return out
 
 
-def fit_pca(X, k: int | float, unit_variance: bool = False) -> PcaModel:
+def fit_pca(X, k: int | float) -> PcaModel:
     """Fit a PCA model to an n x L observation matrix.
 
     k is either a component count (positive int, at most min(n-1, L)) or a
     cumulative explained-variance target in (0, 1], in which case the
-    smallest count reaching the target is kept.  With unit_variance=True
-    columns are scaled to unit standard deviation before decomposition
-    (off by default: all variables share kW units).
+    smallest count reaching the target is kept.  Columns are not scaled:
+    all variables share kW units.
     """
     X = np.asarray(getattr(X, "values", X), dtype=float)
     if X.ndim != 2:
@@ -115,14 +110,7 @@ def fit_pca(X, k: int | float, unit_variance: bool = False) -> PcaModel:
         raise BadComponentCount(f"k must be int or float, got {type(k).__name__}")
 
     mean = X.mean(axis=0)
-    centered = X - mean
-    scale = None
-    if unit_variance:
-        scale = centered.std(axis=0, ddof=1)
-        scale = np.where(scale > 0, scale, 1.0)  # constant columns carry no information
-        centered = centered / scale
-
-    _, s, vt = np.linalg.svd(centered, full_matrices=False)
+    _, s, vt = np.linalg.svd(X - mean, full_matrices=False)
     total = float(np.sum(s**2))
     ratios = s**2 / total if total > 0 else np.zeros_like(s)
 
@@ -139,7 +127,6 @@ def fit_pca(X, k: int | float, unit_variance: bool = False) -> PcaModel:
         singular_values=s[:n_keep].copy(),
         n_train=n,
         explained_variance_ratio=ratios[:n_keep].copy(),
-        scale=scale,
     )
     model.validate()
     return model
@@ -152,10 +139,7 @@ def project(model: PcaModel, x: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(
             f"expected {model.n_variables} variables, got {x.shape[-1]}"
         )
-    centered = x - model.mean
-    if model.scale is not None:
-        centered = centered / model.scale
-    return centered @ model.loadings
+    return (x - model.mean) @ model.loadings
 
 
 def reconstruct(model: PcaModel, scores: np.ndarray) -> np.ndarray:
@@ -165,10 +149,7 @@ def reconstruct(model: PcaModel, scores: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(
             f"expected {model.n_components} scores, got {scores.shape[-1]}"
         )
-    centered = scores @ model.loadings.T
-    if model.scale is not None:
-        centered = centered * model.scale
-    return model.mean + centered
+    return model.mean + scores @ model.loadings.T
 
 
 def truncate(model: PcaModel, k: int) -> PcaModel:
@@ -182,7 +163,6 @@ def truncate(model: PcaModel, k: int) -> PcaModel:
         singular_values=model.singular_values[:k].copy(),
         n_train=model.n_train,
         explained_variance_ratio=None if evr is None else evr[:k].copy(),
-        scale=model.scale,
     )
 
 

@@ -11,7 +11,6 @@ import io
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .errors import ManifestError
 from .lda import DEFAULT_RIDGE, HealthVerdict, classify, fit_lda
@@ -78,11 +77,8 @@ def fit_bundle(
         pca = fit_pca(X, int(components))
     else:
         target = DEFAULT_VARIANCE_TARGET if variance_target is None else float(variance_target)
-        full = fit_pca(X, min(n - 1, X.shape[1]))
-        cum = np.cumsum(full.explained_variance_ratio)
-        k = int(np.searchsorted(cum, target - 1e-9) + 1)
-        k = max(1, min(k, full.n_components, n - 2))
-        pca = truncate(full, k)
+        pca = fit_pca(X, target)
+        pca = truncate(pca, min(pca.n_components, max(1, n - 2)))
 
     scores = project(pca, X)
     lda = fit_lda(scores, labels, priors=priors, ridge=ridge)
@@ -107,14 +103,22 @@ def fit_bundle(
     return bundle, summary
 
 
-def predict_campaign(bundle: ModelBundle, manifest: CampaignManifest) -> list[HealthVerdict]:
-    """Score every unit in manifest order against a fitted bundle."""
+def _score_campaign(
+    bundle: ModelBundle, manifest: CampaignManifest
+) -> tuple[np.ndarray, list[HealthVerdict]]:
+    """PCA scores (n x k) and one verdict per unit, in manifest order."""
     matrix = build_matrix(manifest, bundle.resample_length)
     scores = project(bundle.pca, matrix.values)
-    return [
+    verdicts = [
         classify(bundle.lda, scores[i], unit_id=entry.unit_id)
         for i, entry in enumerate(manifest.entries)
     ]
+    return scores, verdicts
+
+
+def predict_campaign(bundle: ModelBundle, manifest: CampaignManifest) -> list[HealthVerdict]:
+    """Score every unit in manifest order against a fitted bundle."""
+    return _score_campaign(bundle, manifest)[1]
 
 
 def confusion_matrix(
@@ -160,10 +164,16 @@ class ScoreReport:
 
 
 def _spearman_vs_order(values: np.ndarray) -> float:
-    if len(values) < 2:
+    """Spearman's rho of values against their index order.
+
+    Pearson's r of tie-averaged 1-based ranks.  Input with fewer than two
+    values or a constant value has no defined rho and gives 0.0.
+    """
+    if len(values) < 2 or np.all(values == values[0]):
         return 0.0
-    rho = stats.spearmanr(np.arange(len(values)), values).statistic
-    return 0.0 if np.isnan(rho) else float(rho)
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
+    return float(np.corrcoef(np.arange(1.0, len(values) + 1.0), ranks)[0, 1])
 
 
 def build_report(bundle: ModelBundle, manifest: CampaignManifest) -> ScoreReport:
@@ -173,12 +183,7 @@ def build_report(bundle: ModelBundle, manifest: CampaignManifest) -> ScoreReport
     is non-decreasing in parts ground per wheel, so rank correlation with
     the observation index reads as correlation with wear.
     """
-    matrix = build_matrix(manifest, bundle.resample_length)
-    scores = project(bundle.pca, matrix.values)
-    verdicts = [
-        classify(bundle.lda, scores[i], unit_id=e.unit_id)
-        for i, e in enumerate(manifest.entries)
-    ]
+    scores, verdicts = _score_campaign(bundle, manifest)
     ld1 = np.array([v.ld1 for v in verdicts])
     pc_rho = np.array([_spearman_vs_order(scores[:, j]) for j in range(scores.shape[1])])
     return ScoreReport(

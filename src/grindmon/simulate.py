@@ -10,6 +10,15 @@ The bundled presets mirror the three-wheel experiment layout this package
 is tested against: five checkpoint batches per wheel with burning starting
 late in life.  Wheel 3's onset is not documented in the source campaign
 records; the presets place it at 1400 parts.
+
+Known defect: power depends on wear_capacity_parts, which every default
+wheel shares at 1400, and not on burn_onset_parts, so a wheel's traces do
+not reflect its own onset.  A dense replay (one trace per part, 0..1999)
+against a wheel-1 model enters Burn at 1229-1232 parts on every default
+wheel, before wheel 3's labeled onset of 1400; the preset checkpoints jump
+past that region, which is why the monitor's lifetime gate still passes.
+Fixing it changes the simulated data, so it waits for a change that may
+move the frozen campaign.
 """
 
 from __future__ import annotations

@@ -76,13 +76,19 @@ def test_fit_rejects_unlabeled_rows(work, runner, tmp_path):
     assert "row 1" in result.stderr and "burn_rank" in result.stderr
 
 
-def test_fit_rejects_component_overrun(work, runner, tmp_path):
+@pytest.mark.parametrize("override", [
+    ["--components", "200"],
+    ["--variance-target", "1.5"],
+    ["--variance-target", "0"],
+], ids=["components-200", "variance-target-1.5", "variance-target-0"])
+def test_fit_rejects_component_overrun(work, runner, tmp_path, override):
     result = runner.invoke(main, ["fit",
                                   "--manifest", str(work / "camp" / "wheel1-manifest.csv"),
                                   "--model", str(tmp_path / "m.json"),
-                                  "--components", "200"])
+                                  *override])
     assert result.exit_code == 2
     assert "outside" in result.stderr
+    assert not (tmp_path / "m.json").exists()
 
 
 def test_fit_rejects_bad_priors(work, runner, tmp_path):
@@ -240,3 +246,13 @@ def test_console_script_is_installed(tmp_path):
     assert proc.returncode == 0
     for sub in ("simulate", "fit", "predict", "monitor", "report"):
         assert sub in proc.stdout
+
+
+def test_cli_import_does_not_load_scipy():
+    """The command line imports only numpy and click; scipy's import cost is gone."""
+    code = "import sys, grindmon.cli; print('scipy' in sys.modules)"
+    pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": pythonpath})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

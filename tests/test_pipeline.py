@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grindmon import (
     CampaignManifest,
@@ -14,6 +16,7 @@ from grindmon import (
 )
 from grindmon.errors import ManifestError
 from grindmon.lda import HealthVerdict
+from grindmon.pipeline import _spearman_vs_order
 
 
 def write_noisy_campaign(tmp_path, n_per_class=6, length=24, seed=0):
@@ -107,3 +110,31 @@ def test_report_rows_align_with_manifest(wheel1_bundle, wheel1_manifest):
     assert first[0] == "1" and first[1] == report.unit_ids[0]
     # float cells round-trip exactly
     assert float(first[-3]) == report.ld1[0]
+
+
+# --- Spearman rank correlation against observation order ---
+
+def test_spearman_of_increasing_input_is_one():
+    assert abs(_spearman_vs_order(np.array([0.5, 2.0, 3.0, 10.0])) - 1.0) <= 1e-15
+
+
+def test_spearman_of_decreasing_input_is_minus_one():
+    assert abs(_spearman_vs_order(np.array([9.0, 4.0, 1.0, -3.0, -7.0])) + 1.0) <= 1e-15
+
+
+@pytest.mark.parametrize("values", [[2.5, 2.5, 2.5], [4.0], []])
+def test_spearman_of_constant_or_single_input_is_zero(values):
+    assert _spearman_vs_order(np.array(values)) == 0.0
+
+
+def test_spearman_averages_tied_ranks():
+    # ranks (1, 2.5, 2.5, 4) against (1, 2, 3, 4): r = 4.5 / sqrt(5 * 4.5) = sqrt(0.9)
+    assert abs(_spearman_vs_order(np.array([1.0, 2.0, 2.0, 3.0])) - np.sqrt(0.9)) <= 1e-15
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-20, 20), min_size=2, max_size=40))
+def test_spearman_is_invariant_under_increasing_transforms(values):
+    x = np.array(values, dtype=float)
+    assert _spearman_vs_order(np.exp(x / 4.0) + 3.0 * x) == pytest.approx(
+        _spearman_vs_order(x), abs=1e-12)
