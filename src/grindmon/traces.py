@@ -195,9 +195,11 @@ def parse_trace_csv(
 ) -> PowerTrace:
     """Parse a `time_s,power_kw` CSV stream into a PowerTrace.
 
-    Accepts LF or CRLF line endings and a `.` decimal separator only.
-    Rejects non-numeric fields, non-finite values and non-monotone time;
-    row numbers in errors are 1-based over data rows.
+    Accepts LF or CRLF line endings and a `.` decimal separator only.  Each
+    field is whatever Python's `float()` accepts, surrounding whitespace
+    included (so `1_0`, `+1` and `1e5` parse; `0x10`, `1.0d0` and an empty
+    field do not).  Rejects non-numeric fields, non-finite values and
+    non-monotone time; row numbers in errors are 1-based over data rows.
     """
     lines = text.splitlines()
     while lines and not lines[-1].strip():
@@ -205,9 +207,23 @@ def parse_trace_csv(
     if not lines or lines[0].strip() != TRACE_HEADER:
         raise MalformedHeader(f"expected header {TRACE_HEADER!r}")
 
+    meta = dict(unit_id=unit_id, wheel_id=wheel_id, parts_ground=parts_ground,
+                burn_rank=burn_rank)
+    body = lines[1:]
+    # Fast path: convert every field at once and let PowerTrace check the
+    # arrays.  Any rejection falls through to the row loop, which alone
+    # raises the row-numbered errors.
+    if {line.count(",") for line in body} == {1}:
+        try:
+            fields = np.fromiter(map(float, ",".join(body).split(",")), float, 2 * len(body))
+            times_arr, powers_arr = fields.reshape(-1, 2).T.copy()
+            return PowerTrace(times=times_arr, powers=powers_arr, **meta)
+        except (ValueError, TooFewSamples):
+            pass
+
     times: list[float] = []
     powers: list[float] = []
-    for row, line in enumerate(lines[1:], start=1):
+    for row, line in enumerate(body, start=1):
         line = line.strip()
         parts = line.split(",")
         if len(parts) != 2:
@@ -226,14 +242,7 @@ def parse_trace_csv(
 
     if len(times) < 2:
         raise TooFewSamples(f"trace has {len(times)} samples, need at least 2")
-    return PowerTrace(
-        unit_id=unit_id,
-        wheel_id=wheel_id,
-        parts_ground=parts_ground,
-        burn_rank=burn_rank,
-        times=np.array(times),
-        powers=np.array(powers),
-    )
+    return PowerTrace(times=np.array(times), powers=np.array(powers), **meta)
 
 
 def serialize_trace_csv(trace: PowerTrace) -> str:
@@ -308,7 +317,7 @@ def load_trace(path: Path | str, entry: ManifestEntry | None = None) -> PowerTra
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CampaignFileError(path, exc) from exc
     kwargs = {}
     if entry is not None:

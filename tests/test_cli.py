@@ -194,6 +194,14 @@ def test_monitor_bad_trace_aborts_with_path(work, runner):
     assert "nothere.csv" in result.stderr
 
 
+def test_monitor_non_utf8_trace_aborts_with_path(work, runner, tmp_path):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"time_s,power_kw\n0.0,1.0\n0.05,\xff\n")
+    result = runner.invoke(main, ["monitor", "--model", str(work / "model.json"), str(bad)])
+    assert result.exit_code == 2
+    assert "bad.csv" in result.stderr
+
+
 def test_report_to_file_flags_wear_axis(work, runner, tmp_path):
     out = tmp_path / "scores.csv"
     result = runner.invoke(main, ["report", "--model", str(work / "model.json"),

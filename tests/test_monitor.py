@@ -16,7 +16,12 @@ from grindmon import (
     MonitorEvent,
     PcaModel,
     PowerTrace,
+    ScenarioPreset,
+    default_preset,
+    fit_bundle,
     format_event,
+    generate_campaign,
+    generate_trace,
     load_model,
     model_to_json,
     observe,
@@ -264,3 +269,21 @@ def test_monitor_config_round_trips(tmp_path):
     assert again.monitor_config.warning_fraction == 0.55
     assert again.monitor_config.hold_count == 3
     assert again.training_fingerprint == bundle.training_fingerprint
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "simulator defect: power follows the shared wear_capacity_parts, not a"
+    " wheel's burn_onset_parts (see the known-defect note in"
+    " grindmon/simulate.py's module docstring)"))
+def test_dense_replay_burns_no_earlier_than_labeled_onset(tmp_path):
+    preset = default_preset(seed=42)
+    train = ScenarioPreset(name="train", wheels=(preset.wheels[0],))
+    bundle, _ = fit_bundle(generate_campaign(train, tmp_path))
+    wheel3 = preset.wheel("wheel3")
+    state = start_monitor(bundle)
+    for parts in range(2000):
+        event, state = observe(state, bundle, generate_trace(wheel3, parts, 0))
+        if event.state == BURN:
+            break
+    assert event.state == BURN
+    assert parts >= wheel3.burn_onset_parts, f"burn at {parts} parts"

@@ -23,6 +23,7 @@ from grindmon.errors import (
     BadResampleLength,
     CampaignFileError,
     EmptyCampaign,
+    GrindmonError,
     InvalidValue,
     MalformedHeader,
     ManifestError,
@@ -30,6 +31,7 @@ from grindmon.errors import (
     NonNumericField,
     TooFewSamples,
 )
+from grindmon.traces import TRACE_HEADER
 
 
 def make_trace(times, powers, **kw):
@@ -82,6 +84,118 @@ def test_parse_rejects_non_finite_power():
 def test_parse_rejects_single_sample():
     with pytest.raises(TooFewSamples):
         parse_trace_csv("time_s,power_kw\n0.0,1.0")
+
+
+def row_loop_parse(text):
+    """The row-by-row parser as it stood before the vectorized fast path."""
+    lines = text.splitlines()
+    while lines and not lines[-1].strip():
+        lines.pop()
+    if not lines or lines[0].strip() != TRACE_HEADER:
+        raise MalformedHeader(f"expected header {TRACE_HEADER!r}")
+
+    times: list[float] = []
+    powers: list[float] = []
+    for row, line in enumerate(lines[1:], start=1):
+        line = line.strip()
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise NonNumericField(row, f"data row {row}: expected 2 fields, got {len(parts)}")
+        try:
+            t = float(parts[0])
+            p = float(parts[1])
+        except ValueError:
+            raise NonNumericField(row) from None
+        if not (np.isfinite(t) and np.isfinite(p)):
+            raise InvalidValue(row)
+        if times and t <= times[-1]:
+            raise NonMonotoneTime(row)
+        times.append(t)
+        powers.append(p)
+
+    if len(times) < 2:
+        raise TooFewSamples(f"trace has {len(times)} samples, need at least 2")
+    return PowerTrace(unit_id="", wheel_id="", parts_ground=0, burn_rank=None,
+                      times=np.array(times), powers=np.array(powers))
+
+
+def parse_outcome(parse, text):
+    """Bit patterns of the parsed arrays, or the error's class, row and message."""
+    try:
+        trace = parse(text)
+    except GrindmonError as exc:
+        return type(exc), getattr(exc, "row", None), str(exc)
+    return trace.times.tobytes(), trace.powers.tobytes()
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+CORRUPTIONS = ("none", "non-numeric", "nan", "inf", "equal-time", "decreasing-time",
+               "blank-line", "one-field", "three-fields")
+
+
+@st.composite
+def trace_texts(draw):
+    """A trace CSV, valid or with one corrupted data row."""
+    times = sorted(draw(st.lists(finite, min_size=2, max_size=30, unique=True)))
+    powers = draw(st.lists(finite, min_size=len(times), max_size=len(times)))
+    pad = draw(st.sampled_from(["", " ", "\t"]))
+    rows = [[f"{pad}{t!r}", f"{p!r}{pad}"] for t, p in zip(times, powers)]
+    k = draw(st.integers(1, len(rows) - 1))
+    corruption = draw(st.sampled_from(CORRUPTIONS))
+    column = draw(st.integers(0, 1))
+    if corruption == "non-numeric":
+        rows[k][column] = draw(st.sampled_from(["abc", "1.2.3", "", "1x"]))
+    elif corruption in ("nan", "inf"):
+        rows[k][column] = draw(st.sampled_from([corruption, "-" + corruption]))
+    elif corruption == "equal-time":
+        rows[k][0] = rows[k - 1][0]
+    elif corruption == "decreasing-time":
+        rows[k - 1][0], rows[k][0] = rows[k][0], rows[k - 1][0]
+    elif corruption == "one-field":
+        rows[k] = rows[k][:1]
+    elif corruption == "three-fields":
+        rows[k] = rows[k] + ["0.0"]
+    lines = [",".join(r) for r in rows]
+    if corruption == "blank-line":
+        lines.insert(k, draw(st.sampled_from(["", "  "])))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    tail = draw(st.sampled_from(["", eol, eol + eol, eol + " " + eol]))
+    return eol.join([TRACE_HEADER] + lines) + tail
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=trace_texts())
+def test_parse_matches_row_loop(text):
+    assert parse_outcome(parse_trace_csv, text) == parse_outcome(row_loop_parse, text)
+
+
+@pytest.mark.parametrize("text", [
+    "time_s,power_kw\r\n0.0,1.0\r\n0.05,2.0\r\n",
+    "  time_s,power_kw \n 0.0 , 1.0 \n\t0.05,\t2.0\t\n",
+    "time_s,power_kw\n0.0,1.0\n0.05,2.0\n\n \n\t\n",
+    # 1 + 3 fields: 2n tokens in total that pair up into a valid trace
+    "time_s,power_kw\n0,1\n2\n3,4,5\n6,7\n",
+    "time_s,power_kw\n0,1\n2,3,4\n5\n6,7\n",
+    "time_s,power_kw\n",
+    "time_s,power_kw\n0.0,1.0\n",
+])
+def test_parse_matches_row_loop_on_fixed_cases(text):
+    assert parse_outcome(parse_trace_csv, text) == parse_outcome(row_loop_parse, text)
+
+
+@pytest.mark.parametrize("field", ["1_0", " 1.0 ", "+1", "1e5"])
+def test_parse_accepts_python_float_fields(field):
+    trace = parse_trace_csv(f"time_s,power_kw\n{field},{field}\n1e6,2")
+    assert trace.times[0] == float(field) and trace.powers[0] == float(field)
+
+
+@pytest.mark.parametrize("field", ["0x10", "1.0d0", ""])
+@pytest.mark.parametrize("column", [0, 1])
+def test_parse_rejects_fields_python_float_rejects(field, column):
+    row = [field, "1"] if column == 0 else ["0", field]
+    with pytest.raises(NonNumericField) as err:
+        parse_trace_csv(f"time_s,power_kw\n{','.join(row)}\n1e6,2")
+    assert err.value.row == 1
 
 
 def test_parse_2048_row_file_spans_102_35_s():
@@ -205,6 +319,15 @@ def test_build_matrix_missing_file_names_path(tmp_path):
     with pytest.raises(CampaignFileError) as err:
         build_matrix(manifest, 16)
     assert "missing.csv" in str(err.value)
+
+
+def test_build_matrix_non_utf8_file_names_path(tmp_path):
+    manifest = write_campaign(tmp_path, [("a", "w", 0, 1, [1.0, 2.0, 3.0])])
+    (tmp_path / "a.csv").write_bytes(b"time_s,power_kw\n0.0,1.0\n0.05,\xff\n")
+    with pytest.raises(CampaignFileError) as err:
+        build_matrix(manifest, 16)
+    assert "a.csv" in str(err.value)
+    assert isinstance(err.value.cause, UnicodeDecodeError)
 
 
 def test_build_matrix_empty_manifest(tmp_path):
