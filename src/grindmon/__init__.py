@@ -35,7 +35,6 @@ from .monitor import (
 )
 from .pca import (
     PcaModel,
-    explained_variance_report,
     fit_pca,
     project,
     reconstruct,
@@ -58,12 +57,8 @@ from .simulate import (
     generate_campaign,
     generate_trace,
     generate_wheel_traces,
-    load_scenario,
     make_preset,
     peak_amplitude_kw,
-    save_scenario,
-    scenario_from_json,
-    scenario_to_json,
     table2_preset,
 )
 from .traces import (

@@ -52,7 +52,7 @@ class ManifestError(GrindmonError):
 
 
 class CampaignFileError(GrindmonError):
-    """A trace file referenced by a manifest failed to load."""
+    """A manifest or trace file failed to load; the message names its path."""
 
     def __init__(self, path, cause: Exception):
         self.path = str(path)

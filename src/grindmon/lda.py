@@ -22,6 +22,7 @@ from .errors import (
 from .traces import LABEL_BURN, LABEL_NOBURN
 
 DEFAULT_RIDGE = 1e-8
+_LABELS = np.array([LABEL_NOBURN, LABEL_BURN])  # indexed by ld1 >= threshold
 
 
 @dataclass(frozen=True)
@@ -37,7 +38,6 @@ class LdaModel:
     threshold: float
     priors: tuple[float, float]
     ridge: float
-    labels: tuple[str, str] = (LABEL_NOBURN, LABEL_BURN)
 
     def __post_init__(self):
         object.__setattr__(self, "direction", np.asarray(self.direction, dtype=float))
@@ -70,7 +70,7 @@ class LdaModel:
 
 @dataclass(frozen=True)
 class HealthVerdict:
-    """Per-unit classification: Burn exactly when ld1 >= threshold."""
+    """Per-unit classification as `classify` decides it; margin = ld1 - threshold."""
 
     unit_id: str
     ld1: float
@@ -178,14 +178,16 @@ def ld1_score(model: LdaModel, scores: np.ndarray):
     return scores @ model.direction
 
 
-def classify(model: LdaModel, scores: np.ndarray, unit_id: str = "") -> HealthVerdict:
-    """Verdict for one observation; ties at the threshold classify as Burn."""
+def classify(model: LdaModel, scores: np.ndarray):
+    """(ld1, labels) for one score vector or an n x k stack, labels shaped like ld1.
+
+    The one decision rule: Burn exactly when ld1 >= threshold, so ties are Burn.
+    """
     scores = np.asarray(scores, dtype=float)
-    if scores.ndim != 1:
-        raise DimensionMismatch("classify takes a single score vector")
-    ld1 = float(ld1_score(model, scores))
-    label = LABEL_BURN if ld1 >= model.threshold else LABEL_NOBURN
-    return HealthVerdict(unit_id=unit_id, ld1=ld1, label=label, margin=ld1 - model.threshold)
+    if scores.ndim not in (1, 2):
+        raise DimensionMismatch("classify takes a score vector or a stack of score rows")
+    ld1 = ld1_score(model, scores)
+    return ld1, _LABELS.take(ld1 >= model.threshold)
 
 
 def fisher_ratio(scores, labels, w) -> float:

@@ -1,10 +1,11 @@
 """Streaming per-unit health evaluation and model persistence.
 
-Each observed trace runs resample -> project -> ld1 -> classify and drives a
-three-state machine Healthy -> Warning -> Burn.  States never move backward
-within a run: wear is irreversible for one wheel, and a fresh wheel gets a
-fresh MonitorState.  The machine advances at most one state per observation,
-so a Warning alert always lands before the state can escalate to Burn.
+Each observed trace runs resample -> project -> classify, and its LD1 score
+drives a three-state machine Healthy -> Warning -> Burn through the pure
+`_step`.  States never move backward within a run: wear is irreversible for
+one wheel, and a fresh wheel gets a fresh MonitorState.  The machine advances
+at most one state per observation, so a Warning alert always lands before the
+state can escalate to Burn.
 
 A trained model ships as a single self-contained text document (canonical
 JSON: sorted keys, shortest round-trip floats), so save -> load -> save is
@@ -136,38 +137,40 @@ def start_monitor(bundle: ModelBundle) -> MonitorState:
     return MonitorState(state=HEALTHY, warning_limit=limit)
 
 
+def _step(state: MonitorState, ld1: float, threshold: float, hold_count: int) -> tuple[str, int]:
+    """Next state name and hold counter after one LD1 score.
+
+    Burn requires hold_count consecutive scores at or above the decision
+    threshold while in Warning; Warning requires the same count at or above
+    the warning limit while in Healthy.  Burn is absorbing.
+    """
+    if state.state == BURN:
+        return BURN, state.consecutive_above
+    limit = state.warning_limit if state.state == HEALTHY else threshold
+    counter = state.consecutive_above + 1 if ld1 >= limit else 0
+    if counter >= hold_count:
+        return (WARNING if state.state == HEALTHY else BURN), 0
+    return state.state, counter
+
+
 def observe(
     state: MonitorState, bundle: ModelBundle, trace: PowerTrace
 ) -> tuple[MonitorEvent, MonitorState]:
-    """Score one trace and advance the health state machine.
+    """Score one trace and advance the health state machine by `_step`.
 
-    Burn requires hold_count consecutive units at or above the decision
-    threshold while in Warning; Warning requires the same count at or above
-    the warning limit while in Healthy.  Observations after Burn are accepted
-    but flagged post-failure.
+    Observations after Burn are accepted but flagged post-failure.
     """
-    vec = resample(trace, bundle.resample_length)
-    scores = project(bundle.pca, vec)
-    verdict = classify(bundle.lda, scores, trace.unit_id)
-
+    scores = project(bundle.pca, resample(trace, bundle.resample_length))
+    ld1, label = classify(bundle.lda, scores)
+    ld1, label = float(ld1), str(label)
     prev = state.state
-    hold = bundle.monitor_config.hold_count
-    if prev == BURN:
-        new_state_name = BURN
-        counter = state.consecutive_above
-    else:
-        limit = state.warning_limit if prev == HEALTHY else bundle.lda.threshold
-        counter = state.consecutive_above + 1 if verdict.ld1 >= limit else 0
-        if counter >= hold:
-            new_state_name = WARNING if prev == HEALTHY else BURN
-            counter = 0
-        else:
-            new_state_name = prev
-
+    new_state_name, counter = _step(
+        state, ld1, bundle.lda.threshold, bundle.monitor_config.hold_count
+    )
     event = MonitorEvent(
         unit_id=trace.unit_id,
-        ld1=verdict.ld1,
-        label=verdict.label,
+        ld1=ld1,
+        label=label,
         prev_state=prev,
         state=new_state_name,
         alert=new_state_name != prev,
@@ -177,7 +180,7 @@ def observe(
         state=new_state_name,
         warning_limit=state.warning_limit,
         consecutive_above=counter,
-        history=state.history + ((trace.unit_id, verdict.ld1, verdict.label, new_state_name),),
+        history=state.history + ((trace.unit_id, ld1, label, new_state_name),),
     )
     return event, new_state
 

@@ -86,7 +86,7 @@ def fit_pca(X, k: int | float) -> PcaModel:
     smallest count reaching the target is kept.  Columns are not scaled:
     all variables share kW units.
     """
-    X = np.asarray(getattr(X, "values", X), dtype=float)
+    X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise DimensionMismatch("observation matrix must be 2-d")
     n, L = X.shape
@@ -164,15 +164,3 @@ def truncate(model: PcaModel, k: int) -> PcaModel:
         n_train=model.n_train,
         explained_variance_ratio=None if evr is None else evr[:k].copy(),
     )
-
-
-def explained_variance_report(model: PcaModel) -> list[tuple[int, float, float]]:
-    """Per-component (index, ratio, cumulative ratio), 1-based, fit-time models only."""
-    if model.explained_variance_ratio is None:
-        raise ValueError("explained variance is unavailable on a model loaded from file")
-    rows = []
-    cum = 0.0
-    for i, ratio in enumerate(model.explained_variance_ratio, start=1):
-        cum += float(ratio)
-        rows.append((i, float(ratio), cum))
-    return rows

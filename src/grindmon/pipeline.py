@@ -103,22 +103,18 @@ def fit_bundle(
     return bundle, summary
 
 
-def _score_campaign(
-    bundle: ModelBundle, manifest: CampaignManifest
-) -> tuple[np.ndarray, list[HealthVerdict]]:
-    """PCA scores (n x k) and one verdict per unit, in manifest order."""
-    matrix = build_matrix(manifest, bundle.resample_length)
-    scores = project(bundle.pca, matrix.values)
-    verdicts = [
-        classify(bundle.lda, scores[i], unit_id=entry.unit_id)
-        for i, entry in enumerate(manifest.entries)
-    ]
-    return scores, verdicts
+def _score_campaign(bundle: ModelBundle, manifest: CampaignManifest) -> tuple[np.ndarray, ...]:
+    """PCA scores (n x k), LD1 and labels for every unit, in manifest order."""
+    scores = project(bundle.pca, build_matrix(manifest, bundle.resample_length).values)
+    return (scores, *classify(bundle.lda, scores))
 
 
 def predict_campaign(bundle: ModelBundle, manifest: CampaignManifest) -> list[HealthVerdict]:
     """Score every unit in manifest order against a fitted bundle."""
-    return _score_campaign(bundle, manifest)[1]
+    _, ld1, labels = _score_campaign(bundle, manifest)
+    margins = (ld1 - bundle.lda.threshold).tolist()
+    rows = zip(manifest.entries, ld1.tolist(), labels.tolist(), margins)
+    return [HealthVerdict(e.unit_id, v, label, m) for e, v, label, m in rows]
 
 
 def confusion_matrix(
@@ -183,15 +179,14 @@ def build_report(bundle: ModelBundle, manifest: CampaignManifest) -> ScoreReport
     is non-decreasing in parts ground per wheel, so rank correlation with
     the observation index reads as correlation with wear.
     """
-    scores, verdicts = _score_campaign(bundle, manifest)
-    ld1 = np.array([v.ld1 for v in verdicts])
+    scores, ld1, labels = _score_campaign(bundle, manifest)
     pc_rho = np.array([_spearman_vs_order(scores[:, j]) for j in range(scores.shape[1])])
     return ScoreReport(
         unit_ids=tuple(e.unit_id for e in manifest.entries),
         wheel_ids=tuple(e.wheel_id for e in manifest.entries),
         parts_ground=tuple(e.parts_ground for e in manifest.entries),
         labels=tuple(manifest.labels()),
-        predicted=tuple(v.label for v in verdicts),
+        predicted=tuple(labels.tolist()),
         scores=scores,
         ld1=ld1,
         threshold=bundle.lda.threshold,

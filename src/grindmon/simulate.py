@@ -24,8 +24,7 @@ move the frozen campaign.
 from __future__ import annotations
 
 import hashlib
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -225,34 +224,3 @@ def generate_campaign(preset: ScenarioPreset, out_dir) -> CampaignManifest:
     combined = CampaignManifest(tuple(all_entries), base_dir=out)
     save_manifest(combined, out / "manifest.csv")
     return combined
-
-
-# --- scenario files ---
-
-def scenario_to_json(scenario: WheelScenario) -> str:
-    doc = asdict(scenario)
-    doc["checkpoints"] = [list(c) for c in scenario.checkpoints]
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
-def scenario_from_json(text: str) -> WheelScenario:
-    doc = json.loads(text)
-    if not isinstance(doc, dict):
-        raise ValueError("scenario file must be a JSON object")
-    expected = set(WheelScenario.__dataclass_fields__)
-    unknown = sorted(set(doc) - expected)
-    if unknown:
-        raise ValueError(f"unknown scenario fields {unknown}")
-    missing = sorted(expected - set(doc))
-    if missing:
-        raise ValueError(f"missing scenario fields {missing}")
-    doc["checkpoints"] = tuple((int(p), int(u)) for p, u in doc["checkpoints"])
-    return WheelScenario(**doc)
-
-
-def save_scenario(scenario: WheelScenario, path) -> None:
-    Path(path).write_text(scenario_to_json(scenario), encoding="utf-8")
-
-
-def load_scenario(path) -> WheelScenario:
-    return scenario_from_json(Path(path).read_text(encoding="utf-8"))

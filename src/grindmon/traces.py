@@ -305,7 +305,11 @@ def serialize_manifest_csv(manifest: CampaignManifest) -> str:
 
 def load_manifest(path: Path | str) -> CampaignManifest:
     path = Path(path)
-    return parse_manifest_csv(path.read_text(encoding="utf-8"), base_dir=path.parent)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CampaignFileError(path, exc) from exc
+    return parse_manifest_csv(text, base_dir=path.parent)
 
 
 def save_manifest(manifest: CampaignManifest, path: Path | str) -> None:

@@ -202,6 +202,18 @@ def test_monitor_non_utf8_trace_aborts_with_path(work, runner, tmp_path):
     assert "bad.csv" in result.stderr
 
 
+@pytest.mark.parametrize("command", ["predict", "fit"])
+def test_non_utf8_manifest_aborts_with_path(work, runner, tmp_path, command):
+    bad = tmp_path / "bad-manifest.csv"
+    bad.write_bytes(b"trace_file,unit_id,wheel_id,parts_ground,burn_rank\n"
+                    b"a.csv,unit\xff,w,0,1\n")
+    model = work / "model.json" if command == "predict" else tmp_path / "fitted.json"
+    result = runner.invoke(main, [command, "--model", str(model), "--manifest", str(bad)])
+    assert result.exit_code == 2
+    assert "bad-manifest.csv" in result.stderr
+    assert model.exists() == (command == "predict")
+
+
 def test_report_to_file_flags_wear_axis(work, runner, tmp_path):
     out = tmp_path / "scores.csv"
     result = runner.invoke(main, ["report", "--model", str(work / "model.json"),

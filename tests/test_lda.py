@@ -50,9 +50,11 @@ def test_label_swap_mirrors_the_geometry():
     # orientation pins mu_burn > mu_noburn, so the swap flips the axis
     np.testing.assert_allclose(b.direction, -a.direction, atol=1e-12)
     assert b.threshold == pytest.approx(-a.threshold)
+    _, la = classify(a, scores)
+    _, lb = classify(b, scores)
+    np.testing.assert_array_equal(la == B, lb == N)
     for x in scores:
-        va, vb = classify(a, x), classify(b, x)
-        assert (va.label == B) == (vb.label == N)
+        assert (classify(a, x)[1] == B) == (classify(b, x)[1] == N)
 
 
 def test_training_set_accuracy_is_total_on_wheel1(wheel1_bundle, wheel1_manifest):
@@ -60,8 +62,8 @@ def test_training_set_accuracy_is_total_on_wheel1(wheel1_bundle, wheel1_manifest
     scores = project(wheel1_bundle.pca, matrix.values)
     labels = wheel1_manifest.labels()
     assert labels.count(N) == 80 and labels.count(B) == 20
-    predicted = [classify(wheel1_bundle.lda, s).label for s in scores]
-    assert predicted == labels
+    _, predicted = classify(wheel1_bundle.lda, scores)
+    assert predicted.tolist() == labels
 
 
 def test_ld1_score_basics():
@@ -81,11 +83,21 @@ def test_ld1_score_basics():
 
 def test_classify_threshold_rule():
     model = fit_lda(np.array([0.0, 1.0, 4.0, 5.0]), [N, N, B, B], priors=(0.5, 0.5))
-    below = classify(model, np.array([2.5 - 1e-9]), unit_id="a")
-    assert below.label == N and below.margin < 0
-    tie = classify(model, np.array([2.5]), unit_id="b")
-    assert tie.label == B and tie.margin == 0.0
-    assert tie.unit_id == "b"
+    ld1, label = classify(model, np.array([2.5 - 1e-9]))
+    assert label == N and ld1 - model.threshold < 0
+    ld1, label = classify(model, np.array([2.5]))
+    assert label == B and ld1 - model.threshold == 0.0
+    # a stack gives one (ld1, label) per row, each as the single-vector call does
+    stack = np.array([[2.5 - 1e-9], [2.5], [-3.0], [9.0]])
+    ld1, labels = classify(model, stack)
+    assert ld1.shape == labels.shape == (4,)
+    assert labels.tolist() == [N, B, N, B]
+    for row, v, label in zip(stack, ld1, labels):
+        assert classify(model, row) == (v, label)
+    with pytest.raises(DimensionMismatch):
+        classify(model, np.zeros((4, 2)))
+    with pytest.raises(DimensionMismatch):
+        classify(model, np.zeros((2, 2, 1)))
 
 
 def test_degenerate_class_inputs():
@@ -202,8 +214,7 @@ def test_positive_scaling_never_flips_a_decision():
     base = fit_lda(scores, labels)
     for c in (0.01, 3.0, 250.0):
         scaled = fit_lda(scores * c, labels)
-        for x in scores:
-            assert classify(base, x).label == classify(scaled, c * x).label
+        np.testing.assert_array_equal(classify(base, scores)[1], classify(scaled, c * scores)[1])
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 
 import numpy as np
@@ -23,6 +24,7 @@ from grindmon import (
     generate_campaign,
     generate_trace,
     load_model,
+    load_trace,
     model_to_json,
     observe,
     predict_campaign,
@@ -30,7 +32,7 @@ from grindmon import (
     start_monitor,
 )
 from grindmon.errors import CorruptModel, SchemaError, VersionMismatch
-from grindmon.monitor import MODEL_FIELDS, STATE_ORDER
+from grindmon.monitor import MODEL_FIELDS, STATE_ORDER, MonitorState, _step
 
 
 def identity_bundle(mu_noburn=-4.0, mu_burn=2.0, threshold=1.0,
@@ -127,13 +129,72 @@ def test_transition_function_is_monotone_for_every_input():
         for state_name in (HEALTHY, WARNING, BURN):
             for counter in range(hold):
                 for value in regions:
-                    from grindmon.monitor import MonitorState
                     state = MonitorState(state=state_name,
                                          warning_limit=bundle.warning_limit(),
                                          consecutive_above=counter)
                     event, new = observe(state, bundle, trace_of(value))
                     assert STATE_ORDER[new.state] >= STATE_ORDER[state_name]
                     assert STATE_ORDER[new.state] - STATE_ORDER[state_name] <= 1
+
+
+# _step on its own: warning limit 0, threshold 1, no traces involved
+STEP_LIMIT, STEP_THRESHOLD = 0.0, 1.0
+STEP_SCORES = [-1.0, 0.0, 0.5, 1.0, 2.0]  # three regions and both boundaries
+
+
+def test_step_exhaustive():
+    for hold in (1, 2, 3):
+        for state_name in (HEALTHY, WARNING, BURN):
+            for counter in range(hold):
+                state = MonitorState(state=state_name, warning_limit=STEP_LIMIT,
+                                     consecutive_above=counter)
+                for ld1 in STEP_SCORES:
+                    new_name, new_counter = _step(state, ld1, STEP_THRESHOLD, hold)
+                    moved = STATE_ORDER[new_name] - STATE_ORDER[state_name]
+                    assert moved in (0, 1)
+                    if state_name == BURN:
+                        assert (new_name, new_counter) == (BURN, counter)
+                        continue
+                    guard = STEP_LIMIT if state_name == HEALTHY else STEP_THRESHOLD
+                    crossed = ld1 >= guard
+                    assert moved == (crossed and counter + 1 == hold)
+                    assert new_counter == (counter + 1 if crossed and not moved else 0)
+
+
+def test_step_warns_before_burn_on_every_non_decreasing_sequence():
+    for hold in (1, 2, 3):
+        for length in range(1, 6):
+            for scores in itertools.combinations_with_replacement(STEP_SCORES, length):
+                state = MonitorState(state=HEALTHY, warning_limit=STEP_LIMIT)
+                names = []
+                for ld1 in scores:
+                    name, counter = _step(state, ld1, STEP_THRESHOLD, hold)
+                    state = MonitorState(state=name, warning_limit=STEP_LIMIT,
+                                         consecutive_above=counter)
+                    names.append(name)
+                order = [STATE_ORDER[n] for n in names]
+                assert order == sorted(order), scores
+                if BURN in names:
+                    assert WARNING in names[:names.index(BURN)], scores
+
+
+@pytest.mark.parametrize("components", [None, 3])
+def test_batch_and_stream_agree_on_wheel2(wheel1_bundle, wheel1_manifest, wheel2_manifest,
+                                          components):
+    # the batch scores a stack in one product, observe one row at a time
+    bundle = wheel1_bundle
+    if components is not None:
+        bundle, _ = fit_bundle(wheel1_manifest, components=components)
+    verdicts = predict_campaign(bundle, wheel2_manifest)
+    assert len(verdicts) == 69
+    state = start_monitor(bundle)
+    for entry, verdict in zip(wheel2_manifest.entries, verdicts):
+        trace = load_trace(wheel2_manifest.base_dir / entry.trace_file, entry)
+        event, state = observe(state, bundle, trace)
+        assert event.unit_id == verdict.unit_id
+        assert event.label == verdict.label and type(verdict.label) is str
+        assert abs(event.ld1 - verdict.ld1) <= 1e-12
+        assert verdict.margin == verdict.ld1 - bundle.lda.threshold
 
 
 @settings(max_examples=60, deadline=None)

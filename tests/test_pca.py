@@ -7,7 +7,6 @@ from hypothesis.extra import numpy as hnp
 from oracles import jacobi_eigh, sample_covariance
 
 from grindmon import (
-    explained_variance_report,
     fit_pca,
     project,
     reconstruct,
@@ -88,16 +87,15 @@ def test_reconstruction_error_non_increasing_in_k():
     assert all(b <= a + 1e-9 for a, b in zip(errors, errors[1:]))
 
 
-def test_explained_variance_report():
+def test_explained_variance_ratio():
     one = fit_pca(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]), 1)
-    assert explained_variance_report(one) == [(1, pytest.approx(1.0), pytest.approx(1.0))]
+    np.testing.assert_allclose(one.explained_variance_ratio, [1.0])
 
     X = np.array([[2.0, 0.0], [-2.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-    rows = explained_variance_report(fit_pca(X, 2))
-    assert [r[0] for r in rows] == [1, 2]
-    assert rows[0][1] == pytest.approx(0.8)
-    assert rows[1][2] == pytest.approx(1.0)
-    assert len(rows) >= 1  # k = 0 is rejected upstream, report is never empty
+    ratios = fit_pca(X, 2).explained_variance_ratio
+    assert ratios.shape == (2,)
+    assert ratios[0] == pytest.approx(0.8)
+    assert np.cumsum(ratios)[-1] == pytest.approx(1.0)
 
 
 def test_variance_target_selects_smallest_k():

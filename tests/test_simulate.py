@@ -8,11 +8,7 @@ from grindmon import (
     generate_trace,
     generate_wheel_traces,
     load_manifest,
-    load_scenario,
     make_preset,
-    save_scenario,
-    scenario_from_json,
-    scenario_to_json,
     serialize_trace_csv,
     table2_preset,
 )
@@ -154,27 +150,6 @@ def test_scenario_validation():
         quiet(noise_kw=-0.1)
     with pytest.raises(ValueError):
         quiet(trace_length_s=0.01)
-
-
-def test_scenario_json_round_trip(tmp_path):
-    scenario = quiet(noise_kw=0.03, seed=9)
-    text = scenario_to_json(scenario)
-    assert scenario_from_json(text) == scenario
-    path = tmp_path / "scenario.json"
-    save_scenario(scenario, path)
-    assert load_scenario(path) == scenario
-
-
-def test_scenario_json_rejects_unknown_and_missing_fields():
-    text = scenario_to_json(quiet())
-    import json
-    doc = json.loads(text)
-    doc["color"] = "red"
-    with pytest.raises(ValueError):
-        scenario_from_json(json.dumps(doc))
-    del doc["color"], doc["seed"]
-    with pytest.raises(ValueError):
-        scenario_from_json(json.dumps(doc))
 
 
 def test_make_preset_names():
