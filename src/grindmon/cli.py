@@ -34,7 +34,7 @@ from .pipeline import (
     report_to_csv,
 )
 from .simulate import PRESETS, generate_campaign, make_preset
-from .traces import load_manifest, load_trace
+from .traces import DEFAULT_RESAMPLE_LENGTH, load_manifest, load_trace
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -99,7 +99,7 @@ def simulate(preset_name: str, out_dir: str, seed: int):
               type=click.Path(exists=True, dir_okay=False))
 @click.option("--model", "model_path", required=True,
               type=click.Path(dir_okay=False), help="Output model file.")
-@click.option("--resample-length", default=512, show_default=True, type=int)
+@click.option("--resample-length", default=DEFAULT_RESAMPLE_LENGTH, show_default=True, type=int)
 @click.option("--components", type=int, default=None,
               help="Fixed PC count; default picks by variance target.")
 @click.option("--variance-target", type=float, default=None,
@@ -107,8 +107,9 @@ def simulate(preset_name: str, out_dir: str, seed: int):
 @click.option("--priors", default="proportional", show_default=True,
               help="'proportional', 'equal', or 'p_noburn,p_burn'.")
 @click.option("--ridge", default=DEFAULT_RIDGE, show_default=True, type=float)
-@click.option("--warning-fraction", default=0.8, show_default=True, type=float)
-@click.option("--hold-count", default=1, show_default=True, type=int)
+@click.option("--warning-fraction", default=MonitorConfig.warning_fraction, show_default=True,
+              type=float)
+@click.option("--hold-count", default=MonitorConfig.hold_count, show_default=True, type=int)
 @_exit_2_on_bad_input
 def fit(manifest_path, model_path, resample_length, components, variance_target,
         priors, ridge, warning_fraction, hold_count):

@@ -96,6 +96,12 @@ def _split_classes(scores: np.ndarray, labels) -> tuple[np.ndarray, np.ndarray]:
     return noburn, burn
 
 
+def _pooled_variance(proj_n: np.ndarray, proj_b: np.ndarray) -> float:
+    """Pooled within-class variance of two classes' projections, (n - 2) denominator."""
+    ss_within = float(np.sum((proj_n - proj_n.mean()) ** 2) + np.sum((proj_b - proj_b.mean()) ** 2))
+    return ss_within / (len(proj_n) + len(proj_b) - 2)
+
+
 def fit_lda(
     scores,
     labels,
@@ -151,10 +157,7 @@ def fit_lda(
     total = p_n + p_b
     p_n, p_b = p_n / total, p_b / total
 
-    proj_n = noburn @ direction
-    proj_b = burn @ direction
-    ss_within = float(np.sum((proj_n - proj_n.mean()) ** 2) + np.sum((proj_b - proj_b.mean()) ** 2))
-    s2_pooled = ss_within / (n - 2)
+    s2_pooled = _pooled_variance(noburn @ direction, burn @ direction)
     threshold = 0.5 * (mu_n_ld + mu_b_ld) + math.log(p_n / p_b) * s2_pooled / (mu_b_ld - mu_n_ld)
 
     model = LdaModel(
@@ -207,8 +210,7 @@ def fisher_ratio(scores, labels, w) -> float:
     proj_n = noburn @ w
     proj_b = burn @ w
     between = (proj_b.mean() - proj_n.mean()) ** 2
-    ss_within = float(np.sum((proj_n - proj_n.mean()) ** 2) + np.sum((proj_b - proj_b.mean()) ** 2))
-    within = ss_within / (scores.shape[0] - 2)
+    within = _pooled_variance(proj_n, proj_b)
     if within == 0.0:
         return math.inf if between > 0 else 0.0
     return float(between / within)

@@ -9,13 +9,17 @@ state can escalate to Burn.
 
 A trained model ships as a single self-contained text document (canonical
 JSON: sorted keys, shortest round-trip floats), so save -> load -> save is
-byte-identical and a deployed bundle is one portable file.
+byte-identical and a deployed bundle is one portable file.  Loading is
+strict: an unknown field or format version raises VersionMismatch, a wrong
+type or a non-finite value raises SchemaError, and fields that disagree with
+each other raise CorruptModel.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -32,21 +36,27 @@ WARNING = "Warning"
 BURN = "Burn"
 STATE_ORDER = {HEALTHY: 0, WARNING: 1, BURN: 2}
 
-MODEL_FIELDS = (
-    "class_means_ld",
-    "direction",
-    "format_version",
-    "hold_count",
-    "loadings",
-    "mean",
-    "priors",
-    "resample_length",
-    "ridge",
-    "singular_values",
-    "threshold",
-    "training_fingerprint",
-    "warning_fraction",
-)
+# The v1 model file, one row per field: its JSON kind and the attribute path
+# of its value in a ModelBundle.  A kind is int, str, or a tuple of array
+# lengths for finite numbers: () a number, (None,) a non-empty array, (2,)
+# an array of exactly 2, (None, None) non-empty equal-length rows.  Only
+# format_version has no place in a bundle.
+_FIELDS = {
+    "class_means_ld": ((2,), "lda.class_means_ld"),
+    "direction": ((None,), "lda.direction"),
+    "format_version": (int, None),
+    "hold_count": (int, "monitor_config.hold_count"),
+    "loadings": ((None, None), "pca.loadings"),
+    "mean": ((None,), "pca.mean"),
+    "priors": ((2,), "lda.priors"),
+    "resample_length": (int, "resample_length"),
+    "ridge": ((), "lda.ridge"),
+    "singular_values": ((None,), "pca.singular_values"),
+    "threshold": ((), "lda.threshold"),
+    "training_fingerprint": (str, "training_fingerprint"),
+    "warning_fraction": ((), "monitor_config.warning_fraction"),
+}
+MODEL_FIELDS = tuple(sorted(_FIELDS))
 
 
 @dataclass(frozen=True)
@@ -203,21 +213,10 @@ def format_event(event: MonitorEvent) -> str:
 def model_to_json(bundle: ModelBundle) -> str:
     """Canonical text form: fixed field set, sorted keys, shortest floats."""
     bundle.validate()
-    doc = {
-        "class_means_ld": [float(m) for m in bundle.lda.class_means_ld],
-        "direction": [float(v) for v in bundle.lda.direction],
-        "format_version": FORMAT_VERSION,
-        "hold_count": int(bundle.monitor_config.hold_count),
-        "loadings": [[float(v) for v in row] for row in bundle.pca.loadings],
-        "mean": [float(v) for v in bundle.pca.mean],
-        "priors": [float(p) for p in bundle.lda.priors],
-        "resample_length": int(bundle.resample_length),
-        "ridge": float(bundle.lda.ridge),
-        "singular_values": [float(v) for v in bundle.pca.singular_values],
-        "threshold": float(bundle.lda.threshold),
-        "training_fingerprint": str(bundle.training_fingerprint),
-        "warning_fraction": float(bundle.monitor_config.warning_fraction),
-    }
+    doc = {}
+    for name, (kind, place) in _FIELDS.items():
+        value = FORMAT_VERSION if place is None else attrgetter(place)(bundle)
+        doc[name] = kind(value) if kind in (int, str) else np.asarray(value, dtype=float).tolist()
     return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
@@ -230,57 +229,45 @@ def save_model(bundle: ModelBundle, sink) -> None:
         Path(sink).write_bytes(payload)
 
 
-def _as_float(doc: dict, name: str) -> float:
-    v = doc[name]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise SchemaError(name, f"{name} must be a number")
-    v = float(v)
-    if not np.isfinite(v):
-        raise SchemaError(name, f"{name} must be finite")
-    return v
+def _is_numbers(value, depth: int) -> bool:
+    """Whether value is a JSON number, or non-empty lists of them nested depth deep."""
+    items = [value]
+    for _ in range(depth):
+        if not all(type(v) is list and v for v in items):
+            return False
+        items = [x for v in items for x in v]
+    return {type(v) for v in items} <= {int, float}
 
 
-def _as_int(doc: dict, name: str) -> int:
-    v = doc[name]
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise SchemaError(name, f"{name} must be an integer")
-    return v
+def _read(name: str, kind, value):
+    """One field's JSON value checked against its kind in _FIELDS.
 
-
-def _as_vector(doc: dict, name: str) -> np.ndarray:
-    v = doc[name]
-    if not isinstance(v, list) or not v or not all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) for x in v
-    ):
-        raise SchemaError(name, f"{name} must be a non-empty array of numbers")
-    arr = np.asarray(v, dtype=float)
+    Types match exactly, so JSON true and false (bool) are never numbers.
+    """
+    if kind in (int, str):
+        if type(value) is not kind:
+            raise SchemaError(name, f"{name} must be {'an integer' if kind is int else 'a string'}")
+        return value
+    if not _is_numbers(value, len(kind)):
+        what = ("a number", "a non-empty array of numbers", "an array of non-empty rows of numbers")
+        raise SchemaError(name, f"{name} must be {what[len(kind)]}")
+    try:
+        arr = np.array(value, dtype=float)
+    except ValueError:  # numpy >= 1.24 refuses ragged rows
+        raise SchemaError(name, f"{name} rows must have equal length") from None
+    except OverflowError:  # an integer literal beyond float range
+        raise SchemaError(name, f"{name} must contain only finite values") from None
+    if any(n is not None and n != m for n, m in zip(kind, arr.shape)):
+        raise SchemaError(name, f"{name} must hold exactly {kind[0]} values")
     if not np.all(np.isfinite(arr)):
         raise SchemaError(name, f"{name} must contain only finite values")
-    return arr
-
-
-def _as_matrix(doc: dict, name: str) -> np.ndarray:
-    v = doc[name]
-    if not isinstance(v, list) or not v or not all(isinstance(row, list) for row in v):
-        raise SchemaError(name, f"{name} must be an array of rows")
-    width = len(v[0])
-    if width == 0 or any(len(row) != width for row in v):
-        raise SchemaError(name, f"{name} rows must be non-empty and equal length")
-    for row in v:
-        for x in row:
-            if isinstance(x, bool) or not isinstance(x, (int, float)):
-                raise SchemaError(name, f"{name} must contain only numbers")
-    arr = np.asarray(v, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise SchemaError(name, f"{name} must contain only finite values")
-    return arr
+    return arr if kind else float(arr)
 
 
 def load_model(source) -> ModelBundle:
     """Rebuild a bundle from a binary file object, bytes, or a path.
 
-    Rejects unknown format versions and unknown fields; structural damage
-    raises SchemaError and cross-field inconsistency raises CorruptModel.
+    Rejects, never repairs: errors follow the policy in the module docstring.
     """
     if hasattr(source, "read"):
         raw = source.read()
@@ -290,7 +277,7 @@ def load_model(source) -> ModelBundle:
         raw = Path(source).read_bytes()
     try:
         doc = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # also over-long integers, deep nesting
         raise SchemaError("document", f"model file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaError("document", "model file must be a JSON object")
@@ -308,53 +295,19 @@ def load_model(source) -> ModelBundle:
     if missing:
         raise SchemaError(missing[0], f"missing fields {missing}")
 
-    resample_length = _as_int(doc, "resample_length")
-    hold_count = _as_int(doc, "hold_count")
-    mean = _as_vector(doc, "mean")
-    loadings = _as_matrix(doc, "loadings")
-    singular_values = _as_vector(doc, "singular_values")
-    direction = _as_vector(doc, "direction")
-    class_means = _as_vector(doc, "class_means_ld")
-    priors = _as_vector(doc, "priors")
-    threshold = _as_float(doc, "threshold")
-    ridge = _as_float(doc, "ridge")
-    warning_fraction = _as_float(doc, "warning_fraction")
-    fingerprint = doc["training_fingerprint"]
-    if not isinstance(fingerprint, str):
-        raise SchemaError("training_fingerprint", "training_fingerprint must be a string")
-    if class_means.shape != (2,):
-        raise SchemaError("class_means_ld", "class_means_ld must hold exactly 2 values")
-    if priors.shape != (2,):
-        raise SchemaError("priors", "priors must hold exactly 2 values")
-
-    L, k = loadings.shape
-    if L != resample_length or mean.shape != (L,):
-        raise CorruptModel("mean/loadings dimensions disagree with resample_length")
-    if singular_values.shape != (k,) or direction.shape != (k,):
-        raise CorruptModel("singular_values/direction length disagrees with loadings")
-
+    # format_version is read too: true and 1.0 equal 1 but are not the integer 1
+    parts: dict[str, dict] = {"": {}, "pca": {}, "lda": {}, "monitor_config": {}}
+    for name, (kind, place) in _FIELDS.items():
+        value = _read(name, kind, doc[name])
+        if place is not None:
+            owner, _, attr = place.rpartition(".")
+            parts[owner][attr] = value
     try:
-        pca = PcaModel(
-            mean=mean,
-            loadings=loadings,
-            singular_values=singular_values,
-            n_train=None,
-            explained_variance_ratio=None,
-        )
-        lda = LdaModel(
-            direction=direction,
-            class_means_ld=(float(class_means[0]), float(class_means[1])),
-            threshold=threshold,
-            priors=(float(priors[0]), float(priors[1])),
-            ridge=ridge,
-        )
-        config = MonitorConfig(warning_fraction=warning_fraction, hold_count=hold_count)
         bundle = ModelBundle(
-            resample_length=resample_length,
-            pca=pca,
-            lda=lda,
-            monitor_config=config,
-            training_fingerprint=fingerprint,
+            pca=PcaModel(**parts["pca"], n_train=None, explained_variance_ratio=None),
+            lda=LdaModel(**parts["lda"]),
+            monitor_config=MonitorConfig(**parts["monitor_config"]),
+            **parts[""],
         )
         bundle.validate()
     except (ValueError, CorruptModel) as exc:

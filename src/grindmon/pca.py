@@ -54,9 +54,9 @@ class PcaModel:
     def validate(self) -> None:
         L, k = self.loadings.shape
         if self.mean.shape != (L,):
-            raise ValueError("mean length must match loading rows")
+            raise ValueError("mean length must match the loadings rows")
         if self.singular_values.shape != (k,):
-            raise ValueError("one singular value per component required")
+            raise ValueError("singular_values must hold one value per loadings column")
         if np.any(self.singular_values < 0) or np.any(np.diff(self.singular_values) > 0):
             raise ValueError("singular values must be non-negative and non-increasing")
         gram = self.loadings.T @ self.loadings

@@ -17,6 +17,7 @@ from .lda import DEFAULT_RIDGE, HealthVerdict, classify, fit_lda
 from .monitor import ModelBundle, MonitorConfig
 from .pca import fit_pca, project, truncate
 from .traces import (
+    DEFAULT_RESAMPLE_LENGTH,
     LABEL_BURN,
     LABEL_NOBURN,
     CampaignManifest,
@@ -53,7 +54,7 @@ def _require_labels(manifest: CampaignManifest) -> list[str]:
 
 def fit_bundle(
     manifest: CampaignManifest,
-    resample_length: int = 512,
+    resample_length: int = DEFAULT_RESAMPLE_LENGTH,
     components: int | None = None,
     variance_target: float | None = None,
     priors: tuple[float, float] | None = None,

@@ -177,13 +177,6 @@ class TraceMatrix:
         if not np.all(np.isfinite(values)):
             raise ValueError("matrix values must be finite")
 
-    @property
-    def n_rows(self) -> int:
-        return int(self.values.shape[0])
-
-    def labels(self) -> list[str | None]:
-        return [m.label for m in self.meta]
-
 
 def parse_trace_csv(
     text: str,
@@ -303,13 +296,17 @@ def serialize_manifest_csv(manifest: CampaignManifest) -> str:
     return buf.getvalue()
 
 
+def _read_campaign_file(path: Path, parse):
+    """parse(text) of one UTF-8 file; any failure to read or parse it names the path."""
+    try:
+        return parse(path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, GrindmonError) as exc:
+        raise CampaignFileError(path, exc) from exc
+
+
 def load_manifest(path: Path | str) -> CampaignManifest:
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise CampaignFileError(path, exc) from exc
-    return parse_manifest_csv(text, base_dir=path.parent)
+    return _read_campaign_file(path, lambda text: parse_manifest_csv(text, base_dir=path.parent))
 
 
 def save_manifest(manifest: CampaignManifest, path: Path | str) -> None:
@@ -318,11 +315,6 @@ def save_manifest(manifest: CampaignManifest, path: Path | str) -> None:
 
 def load_trace(path: Path | str, entry: ManifestEntry | None = None) -> PowerTrace:
     """Load one trace file, attaching manifest metadata when given."""
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise CampaignFileError(path, exc) from exc
     kwargs = {}
     if entry is not None:
         kwargs = dict(
@@ -331,10 +323,7 @@ def load_trace(path: Path | str, entry: ManifestEntry | None = None) -> PowerTra
             parts_ground=entry.parts_ground,
             burn_rank=entry.burn_rank,
         )
-    try:
-        return parse_trace_csv(text, **kwargs)
-    except GrindmonError as exc:
-        raise CampaignFileError(path, exc) from exc
+    return _read_campaign_file(Path(path), lambda text: parse_trace_csv(text, **kwargs))
 
 
 def build_matrix(manifest: CampaignManifest, length: int = DEFAULT_RESAMPLE_LENGTH) -> TraceMatrix:

@@ -214,6 +214,21 @@ def test_non_utf8_manifest_aborts_with_path(work, runner, tmp_path, command):
     assert model.exists() == (command == "predict")
 
 
+@pytest.mark.parametrize("command", ["predict", "fit"])
+@pytest.mark.parametrize("rows", [
+    "a.csv,u1,w,0\n",
+    "a.csv,u1,w,10,1\nb.csv,u2,w,5,1\n",
+], ids=["four-fields", "parts-decrease"])
+def test_malformed_manifest_aborts_with_path(work, runner, tmp_path, command, rows):
+    bad = tmp_path / "bad-manifest.csv"
+    bad.write_text("trace_file,unit_id,wheel_id,parts_ground,burn_rank\n" + rows)
+    model = work / "model.json" if command == "predict" else tmp_path / "fitted.json"
+    result = runner.invoke(main, [command, "--model", str(model), "--manifest", str(bad)])
+    assert result.exit_code == 2
+    assert str(bad) in result.stderr
+    assert model.exists() == (command == "predict")
+
+
 def test_report_to_file_flags_wear_axis(work, runner, tmp_path):
     out = tmp_path / "scores.csv"
     result = runner.invoke(main, ["report", "--model", str(work / "model.json"),

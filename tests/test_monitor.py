@@ -265,10 +265,91 @@ def test_model_document_fields_are_fixed():
     assert tuple(sorted(doc)) == MODEL_FIELDS
 
 
+IDENTITY_MODEL_JSON = """\
+{
+  "class_means_ld": [
+    -4.0,
+    2.0
+  ],
+  "direction": [
+    1.0
+  ],
+  "format_version": 1,
+  "hold_count": 1,
+  "loadings": [
+    [
+      1.0
+    ],
+    [
+      0.0
+    ]
+  ],
+  "mean": [
+    0.0,
+    0.0
+  ],
+  "priors": [
+    0.5,
+    0.5
+  ],
+  "resample_length": 2,
+  "ridge": 0.0,
+  "singular_values": [
+    1.0
+  ],
+  "threshold": 1.0,
+  "training_fingerprint": "0000000000000000000000000000000000000000000000000000000000000000",
+  "warning_fraction": 0.8
+}
+"""
+
+
+def test_model_document_text_is_fixed():
+    # key order, indent, float repr and the trailing newline of the v1 file
+    assert model_to_json(identity_bundle()) == IDENTITY_MODEL_JSON
+
+
+def broken_json_values(value):
+    """JSON texts that a field whose valid value is `value` must reject."""
+    broken = [
+        st.booleans().map(json.dumps), st.just("null"),
+        st.just("[]"), st.just("[true]"), st.just("[[true]]"),
+        st.just("[[1.0], [1.0, 2.0]]"), st.just(json.dumps([value])),
+        st.sampled_from(["NaN", "1e999", "-1e999"]),
+    ]
+    if not isinstance(value, str):
+        broken.append(st.text().map(json.dumps))
+    if isinstance(value, list):  # one depth too few, one element too many or too few
+        broken += [st.just(json.dumps(v)) for v in (value[0], value + value[-1:], value[:-1])]
+    return st.one_of(broken)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_load_rejects_any_broken_field_by_name(data):
+    doc = json.loads(IDENTITY_MODEL_JSON)
+    field = data.draw(st.sampled_from(MODEL_FIELDS))
+    raw = data.draw(broken_json_values(doc[field]))
+    doc[field] = "<broken>"
+    text = json.dumps(doc).replace('"<broken>"', raw)
+    with pytest.raises((SchemaError, VersionMismatch, CorruptModel)) as err:
+        load_model(text.encode())
+    assert field in str(err.value)
+
+
 def test_load_rejects_truncated_document():
     text = model_to_json(identity_bundle())
     with pytest.raises(SchemaError):
         load_model(text[: len(text) // 2].encode())
+
+
+@pytest.mark.parametrize("text", [
+    '{"format_version": 1' + "0" * 5000 + "}",  # beyond Python's int-parsing digit limit
+    "[" * 100_000,  # beyond the JSON decoder's recursion limit
+], ids=["digits", "depth"])
+def test_load_rejects_json_the_decoder_refuses(text):
+    with pytest.raises(SchemaError):
+        load_model(text.encode())
 
 
 def test_load_rejects_unknown_fields_as_version_drift():
@@ -298,6 +379,11 @@ def test_load_rejects_non_finite_numbers():
     text = json.dumps(doc)  # python json emits bare NaN
     with pytest.raises(SchemaError):
         load_model(text.encode())
+    for field, huge in (("threshold", 10**400), ("mean", [0.0, 10**400])):
+        doc = json.loads(model_to_json(identity_bundle()))
+        doc[field] = huge  # an integer literal no float can hold
+        with pytest.raises(SchemaError):
+            load_model(json.dumps(doc).encode())
 
 
 def test_load_rejects_inconsistent_dimensions():
@@ -312,14 +398,13 @@ def test_load_rejects_inconsistent_dimensions():
 
 
 def test_load_rejects_wrong_types():
-    doc = json.loads(model_to_json(identity_bundle()))
-    doc["hold_count"] = "many"
-    with pytest.raises(SchemaError):
-        load_model(json.dumps(doc).encode())
-    doc = json.loads(model_to_json(identity_bundle()))
-    doc["mean"] = "zeros"
-    with pytest.raises(SchemaError):
-        load_model(json.dumps(doc).encode())
+    # true and 1.0 compare equal to format_version 1 but are not the integer 1
+    for field, value in (("hold_count", "many"), ("mean", "zeros"),
+                         ("format_version", True), ("format_version", 1.0)):
+        doc = json.loads(model_to_json(identity_bundle()))
+        doc[field] = value
+        with pytest.raises(SchemaError):
+            load_model(json.dumps(doc).encode())
 
 
 def test_monitor_config_round_trips(tmp_path):
