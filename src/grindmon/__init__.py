@@ -58,7 +58,7 @@ from .simulate import (
     generate_trace,
     generate_wheel_traces,
     make_preset,
-    peak_amplitude_kw,
+    mean_power_kw,
     table2_preset,
 )
 from .traces import (

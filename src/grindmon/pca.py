@@ -59,6 +59,10 @@ class PcaModel:
             raise ValueError("singular_values must hold one value per loadings column")
         if np.any(self.singular_values < 0) or np.any(np.diff(self.singular_values) > 0):
             raise ValueError("singular values must be non-negative and non-increasing")
+        # an orthonormal column holds no entry above 1; rejecting larger ones
+        # first keeps the Gram product from overflowing on a hostile file
+        if np.any(np.abs(self.loadings) > 1 + ORTHONORMALITY_TOL):
+            raise ValueError("loading columns must be orthonormal")
         gram = self.loadings.T @ self.loadings
         if np.max(np.abs(gram - np.eye(k))) > ORTHONORMALITY_TOL:
             raise ValueError("loading columns must be orthonormal")

@@ -1,24 +1,28 @@
 """Synthetic grinding campaigns with a controllable, deterministic wear trend.
 
-Traces are a flat baseline plus one raised-cosine power bump per cut, with
-bump amplitude growing linearly in cumulative parts ground (capped at 1.5x
-nominal life) and optional additive Gaussian noise.  Randomness is counter
-based: every trace is keyed on (seed, wheel, parts, unit), so regeneration
-is reproducible file-for-file on any platform.
+Every trace has one shape, set by module constants: TRACE_LENGTH_S of power
+sampled every SAMPLE_PERIOD_S, a flat BASELINE_KW, and N_CUTS raised-cosine
+bumps of half width BUMP_HALF_WIDTH_FRACTION of the cut spacing.  The bump
+peak is PEAK_KW_NEW * (1 + WEAR_GAIN * min(parts / WEAR_CAPACITY_PARTS,
+WEAR_RATIO_CAP)) at a cumulative wear of parts, and NOISE_KW scales additive
+Gaussian noise.  Sample times and the cut profile are computed once at import
+and shared read-only by every trace.  Randomness is counter based: every
+trace is keyed on (seed, wheel, parts, unit), so regeneration is
+reproducible file-for-file on any platform.
 
 The bundled presets mirror the three-wheel experiment layout this package
 is tested against: five checkpoint batches per wheel with burning starting
 late in life.  Wheel 3's onset is not documented in the source campaign
 records; the presets place it at 1400 parts.
 
-Known defect: power depends on wear_capacity_parts, which every default
-wheel shares at 1400, and not on burn_onset_parts, so a wheel's traces do
-not reflect its own onset.  A dense replay (one trace per part, 0..1999)
-against a wheel-1 model enters Burn at 1229-1232 parts on every default
-wheel, before wheel 3's labeled onset of 1400; the preset checkpoints jump
-past that region, which is why the monitor's lifetime gate still passes.
-Fixing it changes the simulated data, so it waits for a change that may
-move the frozen campaign.
+Known defect: power follows the shared WEAR_CAPACITY_PARTS (1400) and no
+wheel field shapes it, so a wheel's traces do not reflect its own
+burn_onset_parts.  A dense replay (one trace per part, 0..1999) against a
+wheel-1 model enters Burn at 1229-1232 parts on every default wheel, before
+wheel 3's labeled onset of 1400; the preset checkpoints jump past that
+region, which is why the monitor's lifetime gate still passes.  Fixing it
+changes the simulated data, so it waits for a change that may move the
+frozen campaign.
 """
 
 from __future__ import annotations
@@ -38,30 +42,44 @@ from .traces import (
 )
 
 SAMPLE_PERIOD_S = 0.05  # 50 ms power sampling
+TRACE_LENGTH_S = 25.6   # 513 samples per trace
+BASELINE_KW = 0.5       # spindle power between cuts
+PEAK_KW_NEW = 2.0       # cut-engagement peak of a new wheel
+WEAR_GAIN = 0.5         # relative peak growth over one nominal life
+WEAR_CAPACITY_PARTS = 1400  # nominal life, shared by every wheel
 WEAR_RATIO_CAP = 1.5    # amplitude growth saturates past 1.5x nominal life
+NOISE_KW = 0.02         # standard deviation of the additive noise
+N_CUTS = 8              # cut-engagement bumps per trace
 BUMP_HALF_WIDTH_FRACTION = 0.4  # of the cut spacing; keeps bumps disjoint
+
+
+def _cut_profile(times: np.ndarray) -> np.ndarray:
+    """Unit-height raised-cosine bumps, one centred in each of N_CUTS equal slots."""
+    spacing = TRACE_LENGTH_S / N_CUTS
+    centers = (np.arange(N_CUTS) + 0.5) * spacing
+    half = BUMP_HALF_WIDTH_FRACTION * spacing
+    u = (times[:, None] - centers[None, :]) / half
+    return np.where(np.abs(u) < 1.0, 0.5 * (1.0 + np.cos(np.pi * u)), 0.0).sum(axis=1)
+
+
+_TIMES = np.arange(int(round(TRACE_LENGTH_S / SAMPLE_PERIOD_S)) + 1) * SAMPLE_PERIOD_S
+_PROFILE = _cut_profile(_TIMES)
+_TIMES.setflags(write=False)
+_PROFILE.setflags(write=False)
 
 
 @dataclass(frozen=True)
 class WheelScenario:
-    """Generator settings for one wheel's lifetime campaign.
+    """One wheel's lifetime campaign.
 
     checkpoints lists (parts_ground, units_recorded) batches in wear order.
-    Peak amplitude at p parts is peak_kw_new * (1 + wear_gain * min(p /
-    wear_capacity_parts, 1.5)); units at or past burn_onset_parts are
-    labeled burn rank 2, earlier ones rank 1.
+    Units at or past burn_onset_parts are labeled burn rank 2, earlier ones
+    rank 1.  seed keys the noise; nothing here shapes the power.
     """
 
     wheel_id: str
     checkpoints: tuple[tuple[int, int], ...]
     burn_onset_parts: int
-    trace_length_s: float = 25.6
-    baseline_kw: float = 0.5
-    n_cuts: int = 8
-    peak_kw_new: float = 2.0
-    wear_gain: float = 0.5
-    wear_capacity_parts: int = 1400
-    noise_kw: float = 0.02
     seed: int = 42
 
     def __post_init__(self):
@@ -75,18 +93,6 @@ class WheelScenario:
             raise ValueError("checkpoint parts and unit counts must be non-negative")
         if self.burn_onset_parts < 1:
             raise ValueError("burn_onset_parts must be positive")
-        if self.trace_length_s < SAMPLE_PERIOD_S:
-            raise ValueError("trace_length_s too short for two samples")
-        if self.baseline_kw <= 0 or self.peak_kw_new <= 0:
-            raise ValueError("power levels must be positive")
-        if self.wear_gain < 0 or self.noise_kw < 0:
-            raise ValueError("wear_gain and noise_kw must be non-negative")
-        if self.n_cuts < 1 or self.wear_capacity_parts < 1:
-            raise ValueError("n_cuts and wear_capacity_parts must be positive")
-
-    @property
-    def n_samples(self) -> int:
-        return int(round(self.trace_length_s / SAMPLE_PERIOD_S)) + 1
 
 
 @dataclass(frozen=True)
@@ -107,10 +113,12 @@ def _trace_rng(scenario: WheelScenario, parts_ground: int, unit_index: int) -> n
     return np.random.default_rng(int.from_bytes(digest[:8], "big"))
 
 
-def peak_amplitude_kw(scenario: WheelScenario, parts_ground: int) -> float:
-    """Cut-engagement peak height at a given cumulative wear."""
-    ratio = min(parts_ground / scenario.wear_capacity_parts, WEAR_RATIO_CAP)
-    return scenario.peak_kw_new * (1.0 + scenario.wear_gain * ratio)
+def mean_power_kw(parts_ground: int) -> np.ndarray:
+    """Noise-free power at a given cumulative wear, one value per sample time."""
+    if parts_ground < 0:
+        raise ValueError("parts_ground must be non-negative")
+    ratio = min(parts_ground / WEAR_CAPACITY_PARTS, WEAR_RATIO_CAP)
+    return BASELINE_KW + PEAK_KW_NEW * (1.0 + WEAR_GAIN * ratio) * _PROFILE
 
 
 def generate_trace(scenario: WheelScenario, parts_ground: int, unit_index: int) -> PowerTrace:
@@ -118,29 +126,15 @@ def generate_trace(scenario: WheelScenario, parts_ground: int, unit_index: int) 
 
     Deterministic in (seed, wheel_id, parts_ground, unit_index).
     """
-    if parts_ground < 0:
-        raise ValueError("parts_ground must be non-negative")
-    n = scenario.n_samples
-    times = np.arange(n) * SAMPLE_PERIOD_S
-
-    spacing = scenario.trace_length_s / scenario.n_cuts
-    centers = (np.arange(scenario.n_cuts) + 0.5) * spacing
-    half = BUMP_HALF_WIDTH_FRACTION * spacing
-    u = (times[:, None] - centers[None, :]) / half
-    profile = np.where(np.abs(u) < 1.0, 0.5 * (1.0 + np.cos(np.pi * u)), 0.0).sum(axis=1)
-
-    power = scenario.baseline_kw + peak_amplitude_kw(scenario, parts_ground) * profile
-    if scenario.noise_kw > 0:
-        rng = _trace_rng(scenario, parts_ground, unit_index)
-        power = power + scenario.noise_kw * rng.standard_normal(n)
-
+    power = mean_power_kw(parts_ground)
+    rng = _trace_rng(scenario, parts_ground, unit_index)
     return PowerTrace(
         unit_id=f"{scenario.wheel_id}-p{parts_ground:05d}-u{unit_index:02d}",
         wheel_id=scenario.wheel_id,
         parts_ground=parts_ground,
         burn_rank=2 if parts_ground >= scenario.burn_onset_parts else 1,
-        times=times,
-        powers=power,
+        times=_TIMES,
+        powers=power + NOISE_KW * rng.standard_normal(_TIMES.size),
     )
 
 
@@ -151,48 +145,39 @@ def generate_wheel_traces(scenario: WheelScenario):
             yield generate_trace(scenario, parts, unit_index)
 
 
-def default_preset(seed: int = 42) -> ScenarioPreset:
-    """Three-wheel campaign, 20 units per checkpoint, late-life burn."""
-    return ScenarioPreset(
-        name="default",
-        wheels=(
-            WheelScenario("wheel1", ((160, 20), (689, 20), (753, 20), (1147, 20), (1367, 20)),
-                          burn_onset_parts=1200, seed=seed),
-            WheelScenario("wheel2", ((180, 20), (709, 20), (774, 20), (1125, 20), (1400, 20)),
-                          burn_onset_parts=1300, seed=seed),
-            WheelScenario("wheel3", ((200, 20), (680, 20), (900, 20), (1200, 20), (1600, 20)),
-                          burn_onset_parts=1400, seed=seed),
-        ),
-    )
+# (wheel_id, checkpoint parts_ground values, burn_onset_parts)
+_WHEELS = (
+    ("wheel1", (160, 689, 753, 1147, 1367), 1200),
+    ("wheel2", (180, 709, 774, 1125, 1400), 1300),
+    ("wheel3", (200, 680, 900, 1200, 1600), 1400),
+)
 
-
-def table2_preset(seed: int = 42) -> ScenarioPreset:
-    """Variant with the evaluation row counts: 66+3 (wheel 2) and 47+3 (wheel 3)."""
-    return ScenarioPreset(
-        name="table2-counts",
-        wheels=(
-            WheelScenario("wheel1", ((160, 20), (689, 20), (753, 20), (1147, 20), (1367, 20)),
-                          burn_onset_parts=1200, seed=seed),
-            WheelScenario("wheel2", ((180, 17), (709, 17), (774, 16), (1125, 16), (1400, 3)),
-                          burn_onset_parts=1300, seed=seed),
-            WheelScenario("wheel3", ((200, 12), (680, 12), (900, 12), (1200, 11), (1600, 3)),
-                          burn_onset_parts=1400, seed=seed),
-        ),
-    )
-
-
+# preset name -> units recorded at each checkpoint, one tuple per _WHEELS row
 PRESETS = {
-    "default": default_preset,
-    "table2-counts": table2_preset,
+    "default": ((20,) * 5,) * 3,
+    "table2-counts": ((20,) * 5, (17, 17, 16, 16, 3), (12, 12, 12, 11, 3)),
 }
 
 
 def make_preset(name: str, seed: int = 42) -> ScenarioPreset:
     try:
-        factory = PRESETS[name]
+        units = PRESETS[name]
     except KeyError:
         raise ValueError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}") from None
-    return factory(seed)
+    return ScenarioPreset(name, tuple(
+        WheelScenario(wheel_id, tuple(zip(parts, counts)), onset, seed=seed)
+        for (wheel_id, parts, onset), counts in zip(_WHEELS, units)
+    ))
+
+
+def default_preset(seed: int = 42) -> ScenarioPreset:
+    """Three-wheel campaign, 20 units per checkpoint, late-life burn."""
+    return make_preset("default", seed)
+
+
+def table2_preset(seed: int = 42) -> ScenarioPreset:
+    """Variant with the evaluation row counts: 66+3 (wheel 2) and 47+3 (wheel 3)."""
+    return make_preset("table2-counts", seed)
 
 
 def generate_campaign(preset: ScenarioPreset, out_dir) -> CampaignManifest:

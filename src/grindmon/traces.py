@@ -83,10 +83,6 @@ class PowerTrace:
         return int(self.times.size)
 
     @property
-    def duration_s(self) -> float:
-        return float(self.times[-1] - self.times[0])
-
-    @property
     def label(self) -> str | None:
         return label_from_rank(self.burn_rank)
 

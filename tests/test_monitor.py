@@ -397,6 +397,14 @@ def test_load_rejects_inconsistent_dimensions():
         load_model(json.dumps(doc).encode())
 
 
+def test_load_rejects_huge_loading_without_numpy_warning(wheel1_bundle):
+    # 1e300 squared overflows; the check must fail before any Gram product
+    doc = json.loads(model_to_json(wheel1_bundle))
+    doc["loadings"][0][0] = 1e300
+    with pytest.raises(CorruptModel, match="orthonormal"):
+        load_model(json.dumps(doc).encode())
+
+
 def test_load_rejects_wrong_types():
     # true and 1.0 compare equal to format_version 1 but are not the integer 1
     for field, value in (("hold_count", "many"), ("mean", "zeros"),
@@ -418,7 +426,7 @@ def test_monitor_config_round_trips(tmp_path):
 
 
 @pytest.mark.xfail(strict=True, reason=(
-    "simulator defect: power follows the shared wear_capacity_parts, not a"
+    "simulator defect: power follows the shared WEAR_CAPACITY_PARTS, not a"
     " wheel's burn_onset_parts (see the known-defect note in"
     " grindmon/simulate.py's module docstring)"))
 def test_dense_replay_burns_no_earlier_than_labeled_onset(tmp_path):

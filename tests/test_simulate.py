@@ -9,17 +9,25 @@ from grindmon import (
     generate_wheel_traces,
     load_manifest,
     make_preset,
+    mean_power_kw,
     serialize_trace_csv,
     table2_preset,
 )
-from grindmon.simulate import SAMPLE_PERIOD_S, ScenarioPreset
+from grindmon.simulate import (
+    BASELINE_KW,
+    NOISE_KW,
+    PEAK_KW_NEW,
+    SAMPLE_PERIOD_S,
+    WEAR_CAPACITY_PARTS,
+    WEAR_GAIN,
+    ScenarioPreset,
+)
 
 
 def quiet(**kw):
     kw.setdefault("wheel_id", "w")
     kw.setdefault("checkpoints", ((0, 1), (700, 1), (1400, 1)))
     kw.setdefault("burn_onset_parts", 1200)
-    kw.setdefault("noise_kw", 0.0)
     return WheelScenario(**kw)
 
 
@@ -29,31 +37,43 @@ def test_trace_grid_is_50ms():
     np.testing.assert_allclose(np.diff(trace.times), SAMPLE_PERIOD_S, atol=1e-12)
 
 
+def test_traces_share_one_read_only_times_array():
+    a = generate_trace(quiet(), 0, 0)
+    b = generate_trace(quiet(seed=3), 700, 1)
+    assert a.times is b.times
+    with pytest.raises(ValueError):
+        a.times[0] = 1.0
+
+
 def test_peak_height_at_zero_wear():
-    scenario = quiet()
-    trace = generate_trace(scenario, 0, 0)
-    expected = scenario.baseline_kw + scenario.peak_kw_new
-    assert abs(trace.powers.max() - expected) < 1e-9
-    assert abs(trace.powers.min() - scenario.baseline_kw) < 1e-9
+    power = mean_power_kw(0)
+    assert abs(power.max() - (BASELINE_KW + PEAK_KW_NEW)) < 1e-9
+    assert abs(power.min() - BASELINE_KW) < 1e-9
 
 
 def test_amplitude_ratio_at_full_nominal_wear():
-    scenario = quiet()
-    new = generate_trace(scenario, 0, 0)
-    worn = generate_trace(scenario, scenario.wear_capacity_parts, 0)
-    ratio = (worn.powers.max() - scenario.baseline_kw) / (new.powers.max() - scenario.baseline_kw)
-    assert ratio == pytest.approx(1.0 + scenario.wear_gain, abs=1e-9)
+    new = mean_power_kw(0)
+    worn = mean_power_kw(WEAR_CAPACITY_PARTS)
+    ratio = (worn.max() - BASELINE_KW) / (new.max() - BASELINE_KW)
+    assert ratio == pytest.approx(1.0 + WEAR_GAIN, abs=1e-9)
 
 
 def test_wear_saturates_at_one_and_a_half_lives():
-    scenario = quiet()
-    at_cap = generate_trace(scenario, int(1.5 * scenario.wear_capacity_parts), 0)
-    beyond = generate_trace(scenario, 10 * scenario.wear_capacity_parts, 0)
-    np.testing.assert_array_equal(at_cap.powers, beyond.powers)
+    at_cap = mean_power_kw(int(1.5 * WEAR_CAPACITY_PARTS))
+    beyond = mean_power_kw(10 * WEAR_CAPACITY_PARTS)
+    np.testing.assert_array_equal(at_cap, beyond)
+
+
+def test_trace_is_mean_power_plus_noise():
+    residual = generate_trace(quiet(), 700, 0).powers - mean_power_kw(700)
+    assert abs(residual.mean()) < 0.01
+    assert abs(residual.std() - NOISE_KW) < 0.005
+    with pytest.raises(ValueError):
+        mean_power_kw(-1)
 
 
 def test_trace_generation_is_deterministic():
-    scenario = quiet(noise_kw=0.05)
+    scenario = quiet()
     a = serialize_trace_csv(generate_trace(scenario, 700, 3))
     b = serialize_trace_csv(generate_trace(scenario, 700, 3))
     assert a == b
@@ -62,8 +82,8 @@ def test_trace_generation_is_deterministic():
 
 
 def test_seed_changes_noise_but_not_shape():
-    s0 = quiet(noise_kw=0.05, seed=1)
-    s1 = quiet(noise_kw=0.05, seed=2)
+    s0 = quiet(seed=1)
+    s1 = quiet(seed=2)
     a = generate_trace(s0, 700, 0)
     b = generate_trace(s1, 700, 0)
     assert not np.array_equal(a.powers, b.powers)
@@ -71,9 +91,7 @@ def test_seed_changes_noise_but_not_shape():
 
 
 def test_mean_power_strictly_increases_with_wear():
-    scenario = quiet()
-    means = [generate_trace(scenario, p, 0).powers.mean()
-             for p in (0, 200, 500, 900, 1300, 1900)]
+    means = [mean_power_kw(p).mean() for p in (0, 200, 500, 900, 1300, 1900)]
     assert all(b > a for a, b in zip(means, means[1:]))
 
 
@@ -144,12 +162,6 @@ def test_scenario_validation():
         quiet(checkpoints=((200, 2), (100, 2)))
     with pytest.raises(ValueError):
         quiet(burn_onset_parts=0)
-    with pytest.raises(ValueError):
-        quiet(baseline_kw=0.0)
-    with pytest.raises(ValueError):
-        quiet(noise_kw=-0.1)
-    with pytest.raises(ValueError):
-        quiet(trace_length_s=0.01)
 
 
 def test_make_preset_names():
@@ -157,3 +169,28 @@ def test_make_preset_names():
     assert make_preset("table2-counts", seed=5).wheels[0].seed == 5
     with pytest.raises(ValueError):
         make_preset("nope")
+
+
+# checkpoints and burn onset of each wheel, per preset; seed 5 throughout
+PRESET_WHEELS = {
+    "default": [
+        ("wheel1", ((160, 20), (689, 20), (753, 20), (1147, 20), (1367, 20)), 1200, 5),
+        ("wheel2", ((180, 20), (709, 20), (774, 20), (1125, 20), (1400, 20)), 1300, 5),
+        ("wheel3", ((200, 20), (680, 20), (900, 20), (1200, 20), (1600, 20)), 1400, 5),
+    ],
+    "table2-counts": [
+        ("wheel1", ((160, 20), (689, 20), (753, 20), (1147, 20), (1367, 20)), 1200, 5),
+        ("wheel2", ((180, 17), (709, 17), (774, 16), (1125, 16), (1400, 3)), 1300, 5),
+        ("wheel3", ((200, 12), (680, 12), (900, 12), (1200, 11), (1600, 3)), 1400, 5),
+    ],
+}
+
+
+@pytest.mark.parametrize("name, factory", [("default", default_preset),
+                                           ("table2-counts", table2_preset)])
+def test_preset_wheel_tables_are_pinned(name, factory):
+    preset = make_preset(name, 5)
+    assert preset.name == name
+    assert [(w.wheel_id, w.checkpoints, w.burn_onset_parts, w.seed)
+            for w in preset.wheels] == PRESET_WHEELS[name]
+    assert factory(5) == preset

@@ -7,9 +7,7 @@ from grindmon import (
     CampaignManifest,
     ManifestEntry,
     PowerTrace,
-    WheelScenario,
     build_matrix,
-    generate_trace,
     label_from_rank,
     load_manifest,
     parse_manifest_csv,
@@ -199,14 +197,12 @@ def test_parse_rejects_fields_python_float_rejects(field, column):
 
 
 def test_parse_2048_row_file_spans_102_35_s():
-    scenario = WheelScenario("w", ((0, 1),), burn_onset_parts=1,
-                             trace_length_s=102.35, noise_kw=0.0)
-    trace = generate_trace(scenario, 0, 0)
-    text = serialize_trace_csv(trace)
+    times = np.arange(2048) * 0.05
+    text = serialize_trace_csv(make_trace(times, 0.5 + np.sin(times)))
     assert text.count("\n") == 2048 + 1  # header + rows, trailing newline
     parsed = parse_trace_csv(text)
     assert parsed.n_samples == 2048
-    assert abs(parsed.duration_s - (2048 - 1) * 0.05) < 1e-12
+    assert abs((parsed.times[-1] - parsed.times[0]) - (2048 - 1) * 0.05) < 1e-12
 
 
 def test_serialize_parse_round_trip_preserves_values():
