@@ -18,8 +18,10 @@ each other raise CorruptModel.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from operator import attrgetter
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass, field
+from itertools import islice
+from operator import attrgetter, index
 from pathlib import Path
 
 import numpy as np
@@ -74,8 +76,9 @@ class MonitorConfig:
     def __post_init__(self):
         if not 0.0 < self.warning_fraction < 1.0:
             raise ValueError("warning_fraction must lie strictly in (0, 1)")
-        if not isinstance(self.hold_count, (int, np.integer)) or self.hold_count < 1:
-            raise ValueError("hold_count must be a positive integer")
+        hold = self.hold_count
+        if isinstance(hold, bool) or not isinstance(hold, (int, np.integer)) or hold < 1:
+            raise ValueError(f"hold_count must be a positive integer, got {hold!r}")
 
 
 @dataclass(frozen=True)
@@ -118,22 +121,98 @@ class MonitorEvent:
     post_failure: bool = False
 
 
+class History(Sequence):
+    """Immutable sequence of (unit_id, ld1, label, state) records.
+
+    A view of the first n items of a list that every snapshot along one
+    chain shares.  It reads, hashes, prints and compares equal like the
+    tuple of those n items.  Items past n in the shared list belong to later
+    snapshots, so this view never changes.
+    """
+
+    __slots__ = ("_items", "_n")
+
+    def __init__(self, records: Iterable = ()):
+        self._items = list(records)
+        self._n = len(self._items)
+
+    def appended(self, record) -> History:
+        """This history plus one record; O(1) at the chain's tip.
+
+        From an older snapshot, whose successor already took the next slot,
+        the prefix is copied first.  Re-reading the slot after the append
+        also covers two threads appending to the same tip.
+        """
+        items, n = self._items, self._n
+        if len(items) == n:
+            items.append(record)
+            if items[n] is record:
+                return _view(items, n + 1)
+        return _view([*items[:n], record], n + 1)
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return tuple(self._items[i] for i in range(*key.indices(self._n)))
+        i = index(key)
+        if not -self._n <= i < self._n:
+            raise IndexError("history index out of range")
+        return self._items[i % self._n]
+
+    def __iter__(self):
+        return islice(self._items, self._n)
+
+    def _tuple(self) -> tuple:
+        return tuple(self._items[: self._n])
+
+    def __eq__(self, other):
+        if isinstance(other, History):
+            return self._n == other._n and self._tuple() == other._tuple()
+        if isinstance(other, tuple):
+            return self._tuple() == other
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._tuple())
+
+    def __repr__(self):
+        return repr(self._tuple())
+
+    def __reduce__(self):
+        return History, (self._tuple(),)
+
+
+def _view(items: list, n: int) -> History:
+    view = object.__new__(History)
+    view._items, view._n = items, n
+    return view
+
+
 @dataclass(frozen=True)
 class MonitorState:
     """Immutable monitor snapshot; observe() maps old state to new state.
 
     consecutive_above counts successive observations at or above the limit
-    guarding the next state.  history is append-only.
+    guarding the next state.  history holds one (unit_id, ld1, label, state)
+    record per observation and behaves as a tuple.  It is a History: a
+    prefix view of one list that every snapshot along a chain shares, so
+    observe() appends to a chain's newest state in O(1) time, and observing
+    from an older snapshot copies that snapshot's records first.  No
+    existing state's history ever changes.
     """
 
     state: str
     warning_limit: float
     consecutive_above: int = 0
-    history: tuple[tuple[str, float, str, str], ...] = ()
+    history: History = field(default_factory=History)
 
     def __post_init__(self):
         if self.state not in STATE_ORDER:
             raise ValueError(f"unknown state {self.state!r}")
+        if type(self.history) is not History:
+            object.__setattr__(self, "history", History(self.history))
 
 
 def start_monitor(bundle: ModelBundle) -> MonitorState:
@@ -190,7 +269,7 @@ def observe(
         state=new_state_name,
         warning_limit=state.warning_limit,
         consecutive_above=counter,
-        history=state.history + ((trace.unit_id, ld1, label, new_state_name),),
+        history=state.history.appended((trace.unit_id, ld1, label, new_state_name)),
     )
     return event, new_state
 

@@ -242,16 +242,46 @@ def serialize_trace_csv(trace: PowerTrace) -> str:
     return "\n".join(out) + "\n"
 
 
+def _check_length(length) -> None:
+    """Reject a resample length that is not an integer of at least 2.
+
+    A numpy integer is fine; a bool is not, although Python counts it as one.
+    """
+    if isinstance(length, bool) or not isinstance(length, (int, np.integer)):
+        raise BadResampleLength(f"resample length must be an integer, got {length!r}")
+    if length < 2:
+        raise BadResampleLength(f"resample length must be >= 2, got {length}")
+
+
+def _grid(t0: float, t1: float, length: int) -> np.ndarray:
+    """`length` equally spaced times over [t0, t1], bit-equal to np.linspace.
+
+    The same float64 arithmetic as np.linspace without its call overhead,
+    including its branch for a span whose step underflows to 0.
+    """
+    div = length - 1
+    delta = t1 - t0
+    step = delta / div
+    grid = np.arange(length, dtype=float)
+    if step == 0:
+        grid /= div
+        grid *= delta
+    else:
+        grid *= step
+    grid += t0
+    grid[-1] = t1
+    return grid
+
+
 def resample(trace: PowerTrace, length: int) -> np.ndarray:
     """Power linearly interpolated at `length` equally spaced times.
 
     The grid spans [t_first, t_last]; both endpoint values are preserved
     exactly.
     """
-    if length < 2:
-        raise BadResampleLength(f"resample length must be >= 2, got {length}")
-    grid = np.linspace(trace.times[0], trace.times[-1], length)
-    values = np.interp(grid, trace.times, trace.powers)
+    _check_length(length)
+    times = trace.times
+    values = np.interp(_grid(times[0], times[-1], length), times, trace.powers)
     values[0] = trace.powers[0]
     values[-1] = trace.powers[-1]
     return values
@@ -324,8 +354,7 @@ def load_trace(path: Path | str, entry: ManifestEntry | None = None) -> PowerTra
 
 def build_matrix(manifest: CampaignManifest, length: int = DEFAULT_RESAMPLE_LENGTH) -> TraceMatrix:
     """Resample every manifest trace to `length` and stack in manifest order."""
-    if length < 2:
-        raise BadResampleLength(f"resample length must be >= 2, got {length}")
+    _check_length(length)
     if not manifest.entries:
         raise EmptyCampaign("manifest has no entries")
     rows = np.empty((len(manifest.entries), length))

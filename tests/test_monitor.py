@@ -1,6 +1,7 @@
 import io
 import itertools
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from grindmon import (
     start_monitor,
 )
 from grindmon.errors import CorruptModel, SchemaError, VersionMismatch
-from grindmon.monitor import MODEL_FIELDS, STATE_ORDER, MonitorState, _step
+from grindmon.monitor import MODEL_FIELDS, STATE_ORDER, MonitorState, _step, _view
 
 
 def identity_bundle(mu_noburn=-4.0, mu_burn=2.0, threshold=1.0,
@@ -119,6 +120,94 @@ def test_history_is_append_only():
     assert len(s2.history) == 2
     assert s2.history[0][0] == "a" and s2.history[1][3] == WARNING
     assert s1.history == s2.history[:1]
+
+
+def assert_reads_like(history, ref):
+    """history answers every tuple operation exactly as the tuple ref does."""
+    n = len(ref)
+    assert len(history) == n
+    assert history == ref and ref == history and not history != ref
+    longer = ref + (("x", 0.0, "x", "x"),)
+    assert history != longer and longer != history and history != list(ref)
+    assert tuple(history) == ref and list(reversed(history)) == list(reversed(ref))
+    for i in range(-n, n):
+        assert history[i] == ref[i]
+    for i in (-n - 1, n):
+        with pytest.raises(IndexError):
+            history[i]
+    bounds = (None, 0, 1, -1, n // 2, -n - 2, n + 2)
+    for start, stop in itertools.product(bounds, repeat=2):
+        for step in (None, 2, -1, -3):
+            assert history[start:stop:step] == ref[start:stop:step]
+    assert hash(history) == hash(ref)
+    assert repr(history) == repr(ref)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_history_view_reads_like_a_tuple_across_branches(data):
+    bundle = identity_bundle()
+    values = st.floats(-3, 3, allow_nan=False)
+    states, refs = [start_monitor(bundle)], [()]
+
+    def extend(state, ref, name, scores):
+        for j, value in enumerate(scores):
+            event, state = observe(state, bundle, trace_of(value, f"{name}{j}"))
+            ref = ref + ((event.unit_id, event.ld1, event.label, event.state),)
+            assert state.history == ref
+            states.append(state)
+            refs.append(ref)
+
+    extend(states[0], refs[0], "c", data.draw(st.lists(values, max_size=12)))
+    for b in range(data.draw(st.integers(1, 4))):
+        at = data.draw(st.integers(0, len(states) - 1))
+        extend(states[at], refs[at], f"b{b}.", data.draw(st.lists(values, min_size=1, max_size=6)))
+
+    # every snapshot still reads as it did when it was made
+    for state, ref in zip(states, refs):
+        assert_reads_like(state.history, ref)
+        plain = MonitorState(state.state, state.warning_limit, state.consecutive_above, ref)
+        assert plain == state and hash(plain) == hash(state) and repr(plain) == repr(state)
+    assert pickle.loads(pickle.dumps(states[-1])) == states[-1]
+
+
+def test_history_append_loses_no_race_for_the_tip():
+    # another thread appends between the tip check and this append
+    class RacedList(list):
+        def append(self, record):
+            super().append(("other", 1.0, "Burn", BURN))
+            super().append(record)
+
+    tip = _view(RacedList([("root", 0.0, "NoBurn", HEALTHY)]), 1)
+    record = ("mine", 2.0, "Burn", WARNING)
+    assert tip.appended(record) == (("root", 0.0, "NoBurn", HEALTHY), record)
+    assert tip == (("root", 0.0, "NoBurn", HEALTHY),)
+
+
+def test_hundred_thousand_observation_lifetime():
+    # LD1 rises from -3 to 3 in 1,000 levels held for 100 observations each
+    bundle = identity_bundle()
+    pool = [trace_of(v, f"u{i}") for i, v in enumerate(np.linspace(-3.0, 3.0, 1000))]
+    state = start_monitor(bundle)
+    order = [STATE_ORDER[state.state]]
+    alerts = []
+    for i in range(100_000):
+        event, state = observe(state, bundle, pool[i // 100])
+        order.append(STATE_ORDER[event.state])
+        if event.alert:
+            alerts.append(event.state)
+    assert len(state.history) == 100_000
+    assert all(a <= b for a, b in zip(order, order[1:]))
+    assert alerts == [WARNING, BURN]
+    assert state.history[-1] == ("u999", 3.0, "Burn", BURN)
+    assert [STATE_ORDER[r[3]] for r in state.history] == order[1:]
+
+
+def test_monitor_config_rejects_bool_hold_count():
+    for bad in (True, False, 1.0, 0, -2):
+        with pytest.raises(ValueError, match="hold_count"):
+            MonitorConfig(hold_count=bad)
+    assert MonitorConfig(hold_count=np.int64(2)).hold_count == 2
 
 
 def test_transition_function_is_monotone_for_every_input():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from grindmon import (
@@ -29,7 +29,7 @@ from grindmon.errors import (
     NonNumericField,
     TooFewSamples,
 )
-from grindmon.traces import TRACE_HEADER
+from grindmon.traces import TRACE_HEADER, _grid
 
 
 def make_trace(times, powers, **kw):
@@ -266,6 +266,59 @@ def test_resample_rejects_short_lengths():
     for bad in (1, 0, -3):
         with pytest.raises(BadResampleLength):
             resample(trace, bad)
+
+
+@pytest.mark.parametrize("bad", [2.5, 3.0, np.float64(3.0), True, np.bool_(True), "3", None],
+                         ids=["2.5", "float-3", "float64-3", "True", "bool_-True", "str-3", "None"])
+def test_resample_rejects_non_integer_lengths(bad, tmp_path):
+    trace = make_trace([0.0, 0.05], [1.0, 2.0])
+    with pytest.raises(BadResampleLength, match="must be an integer"):
+        resample(trace, bad)
+    with pytest.raises(BadResampleLength, match="must be an integer"):
+        build_matrix(CampaignManifest(entries=(), base_dir=tmp_path), bad)
+
+
+def test_resample_accepts_numpy_integer_lengths():
+    trace = make_trace([0.0, 1.0], [1.0, 2.0])
+    np.testing.assert_array_equal(resample(trace, np.int64(3)), [1.0, 1.5, 2.0])
+
+
+def linspace_resample(trace, length):
+    """resample as first written: np.interp on np.linspace, endpoints pinned."""
+    values = np.interp(np.linspace(trace.times[0], trace.times[-1], length),
+                       trace.times, trace.powers)
+    values[0], values[-1] = trace.powers[0], trace.powers[-1]
+    return values
+
+
+# a time scale down to the smallest subnormal, where the grid step underflows
+# to 0; times are whole multiples of it, so they stay strictly increasing
+scales = st.one_of(st.integers(1, 1000).map(lambda k: k * 5e-324), st.floats(1e-9, 1e3))
+offsets = st.integers(-10**6, 10**6)
+
+
+@settings(max_examples=400, deadline=None)
+@given(scale=scales, offset=offsets, span=st.integers(1, 10**4), length=st.integers(2, 3000))
+@example(scale=5e-324, offset=0, span=1, length=3)
+def test_resample_grid_is_bit_equal_to_linspace(scale, offset, span, length):
+    t0, t1 = np.float64(scale * offset), np.float64(scale * (offset + span))
+    assume(t1 > t0)
+    assert _grid(t0, t1, length).tobytes() == np.linspace(t0, t1, length).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    scale=scales,
+    offset=offsets,
+    gaps=st.lists(st.integers(1, 1000), min_size=1, max_size=40),
+    powers=st.lists(st.floats(-1e6, 1e6), min_size=41, max_size=41),
+    length=st.integers(2, 600),
+)
+def test_resample_output_is_bit_equal_to_the_linspace_formula(scale, offset, gaps, powers, length):
+    times = scale * (offset + np.cumsum([0, *gaps]))
+    assume(np.all(np.diff(times) > 0))
+    trace = make_trace(times, powers[: times.size])
+    assert resample(trace, length).tobytes() == linspace_resample(trace, length).tobytes()
 
 
 @settings(max_examples=50, deadline=None)
