@@ -29,7 +29,7 @@ import numpy as np
 from .errors import CorruptModel, SchemaError, VersionMismatch
 from .lda import LdaModel, classify
 from .pca import PcaModel, project
-from .traces import PowerTrace, resample
+from .traces import PowerTrace, _is_integer, resample
 
 FORMAT_VERSION = 1
 
@@ -77,7 +77,7 @@ class MonitorConfig:
         if not 0.0 < self.warning_fraction < 1.0:
             raise ValueError("warning_fraction must lie strictly in (0, 1)")
         hold = self.hold_count
-        if isinstance(hold, bool) or not isinstance(hold, (int, np.integer)) or hold < 1:
+        if not _is_integer(hold) or hold < 1:
             raise ValueError(f"hold_count must be a positive integer, got {hold!r}")
 
 

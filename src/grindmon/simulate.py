@@ -37,6 +37,7 @@ from .traces import (
     CampaignManifest,
     ManifestEntry,
     PowerTrace,
+    _format_column,
     save_manifest,
     serialize_trace_csv,
 )
@@ -185,18 +186,20 @@ def generate_campaign(preset: ScenarioPreset, out_dir) -> CampaignManifest:
 
     Layout under out_dir: <wheel_id>/<unit_id>.csv for traces,
     <wheel_id>-manifest.csv per wheel, manifest.csv for the whole preset.
-    Returns the combined manifest.
+    Returns the combined manifest.  Every trace shares _TIMES, so its column
+    text is formatted once for the whole campaign.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    time_fields = _format_column(_TIMES)
     all_entries: list[ManifestEntry] = []
     for scenario in preset.wheels:
+        (out / scenario.wheel_id).mkdir(exist_ok=True)
         wheel_entries: list[ManifestEntry] = []
         for trace in generate_wheel_traces(scenario):
             rel = f"{scenario.wheel_id}/{trace.unit_id}.csv"
-            path = out / rel
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(serialize_trace_csv(trace), encoding="utf-8")
+            text = serialize_trace_csv(trace, _time_fields=time_fields)
+            (out / rel).write_text(text, encoding="utf-8")
             wheel_entries.append(
                 ManifestEntry(rel, trace.unit_id, scenario.wheel_id,
                               trace.parts_ground, trace.burn_rank)

@@ -11,7 +11,9 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import operator
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +47,29 @@ def label_from_rank(burn_rank: int | None) -> str | None:
     return LABEL_BURN if burn_rank >= 2 else LABEL_NOBURN
 
 
+def _is_integer(value) -> bool:
+    """An int or a numpy integer; a bool is not, although Python counts it as one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_metadata(parts_ground, burn_rank, **ids) -> None:
+    """Reject metadata that a manifest could not carry back unchanged.
+
+    The manifest reader strips every field and reads files with universal
+    newlines, so an id with surrounding whitespace, a CR or an LF would come
+    back altered; a non-integer count or rank would not come back at all.
+    """
+    for name, value in ids.items():
+        if (not isinstance(value, str) or value != value.strip()
+                or "\r" in value or "\n" in value):
+            raise ValueError(f"{name} must be a string with no surrounding whitespace"
+                             f" or line break, got {value!r}")
+    if not _is_integer(parts_ground) or parts_ground < 0:
+        raise ValueError(f"parts_ground must be a non-negative integer, got {parts_ground!r}")
+    if burn_rank is not None and (not _is_integer(burn_rank) or burn_rank not in (1, 2, 3)):
+        raise ValueError(f"burn_rank must be 1, 2, 3 or empty, got {burn_rank!r}")
+
+
 @dataclass(frozen=True)
 class PowerTrace:
     """One unit's power-vs-time series plus provenance metadata.
@@ -69,14 +94,13 @@ class PowerTrace:
             raise ValueError("times and powers must be 1-d arrays of equal length")
         if times.size < 2:
             raise TooFewSamples("a trace needs at least 2 samples")
-        if not np.all(np.diff(times) > 0):
+        # compared, not subtracted: inf - inf would warn before the finiteness check
+        if not (times[1:] > times[:-1]).all():
             raise ValueError("times must be strictly increasing")
-        if not np.all(np.isfinite(times)) or not np.all(np.isfinite(powers)):
+        if not (np.isfinite(times).all() and np.isfinite(powers).all()):
             raise ValueError("times and powers must be finite")
-        if self.parts_ground < 0:
-            raise ValueError("parts_ground must be non-negative")
-        if self.burn_rank is not None and self.burn_rank not in (1, 2, 3):
-            raise ValueError("burn_rank must be 1, 2 or 3 when present")
+        _check_metadata(self.parts_ground, self.burn_rank,
+                        unit_id=self.unit_id, wheel_id=self.wheel_id)
 
     @property
     def n_samples(self) -> int:
@@ -94,6 +118,10 @@ class ManifestEntry:
     wheel_id: str
     parts_ground: int
     burn_rank: int | None
+
+    def __post_init__(self):
+        _check_metadata(self.parts_ground, self.burn_rank, trace_file=self.trace_file,
+                        unit_id=self.unit_id, wheel_id=self.wheel_id)
 
     @property
     def label(self) -> str | None:
@@ -132,10 +160,6 @@ class CampaignManifest:
                     f" ({prev} -> {e.parts_ground})"
                 )
             last_parts[e.wheel_id] = e.parts_ground
-            if e.parts_ground < 0:
-                raise ManifestError(f"row {i}: parts_ground must be non-negative")
-            if e.burn_rank is not None and e.burn_rank not in (1, 2, 3):
-                raise ManifestError(f"row {i}: burn_rank must be 1, 2, 3 or empty")
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -174,6 +198,19 @@ class TraceMatrix:
             raise ValueError("matrix values must be finite")
 
 
+@dataclass
+class _TimeColumn:
+    """The last time column converted within one build_matrix call.
+
+    A fixed-rate campaign writes the same time column into every trace, so a
+    trace whose time fields equal, string for string, the previous trace's
+    takes that trace's read-only array instead of converting them again.
+    """
+
+    fields: list[str] | None = None
+    times: np.ndarray | None = None
+
+
 def parse_trace_csv(
     text: str,
     *,
@@ -181,6 +218,7 @@ def parse_trace_csv(
     wheel_id: str = "",
     parts_ground: int = 0,
     burn_rank: int | None = None,
+    _column: _TimeColumn | None = None,
 ) -> PowerTrace:
     """Parse a `time_s,power_kw` CSV stream into a PowerTrace.
 
@@ -189,6 +227,14 @@ def parse_trace_csv(
     included (so `1_0`, `+1` and `1e5` parse; `0x10`, `1.0d0` and an empty
     field do not).  Rejects non-numeric fields, non-finite values and
     non-monotone time; row numbers in errors are 1-based over data rows.
+
+    The data rows are split into fields once, with one `str.split` over
+    their join; when every row holds exactly one comma, the two columns are
+    converted straight into arrays and PowerTrace checks them.  Anything
+    that path rejects goes to a row-by-row loop, which alone raises the
+    row-numbered errors.  Within one build_matrix call, a time column equal
+    to the previous trace's is not converted again: the trace shares that
+    trace's read-only times array.
     """
     lines = text.splitlines()
     while lines and not lines[-1].strip():
@@ -199,16 +245,24 @@ def parse_trace_csv(
     meta = dict(unit_id=unit_id, wheel_id=wheel_id, parts_ground=parts_ground,
                 burn_rank=burn_rank)
     body = lines[1:]
-    # Fast path: convert every field at once and let PowerTrace check the
-    # arrays.  Any rejection falls through to the row loop, which alone
-    # raises the row-numbered errors.
-    if {line.count(",") for line in body} == {1}:
+    n = len(body)
+    fields = ",".join(body).split(",")
+    # 2n fields, and a comma in every row, is exactly one comma per row
+    if len(fields) == 2 * n and all(map(operator.contains, body, repeat(","))):
+        time_fields = fields[0::2]
+        shared = _column is not None and time_fields == _column.fields
         try:
-            fields = np.fromiter(map(float, ",".join(body).split(",")), float, 2 * len(body))
-            times_arr, powers_arr = fields.reshape(-1, 2).T.copy()
-            return PowerTrace(times=times_arr, powers=powers_arr, **meta)
+            times_arr = (_column.times if shared
+                         else np.fromiter(map(float, time_fields), float, n))
+            powers_arr = np.fromiter(map(float, fields[1::2]), float, n)
+            trace = PowerTrace(times=times_arr, powers=powers_arr, **meta)
         except (ValueError, TooFewSamples):
             pass
+        else:
+            if _column is not None and not shared:
+                times_arr.setflags(write=False)
+                _column.fields, _column.times = time_fields, times_arr
+            return trace
 
     times: list[float] = []
     powers: list[float] = []
@@ -234,20 +288,27 @@ def parse_trace_csv(
     return PowerTrace(times=np.array(times), powers=np.array(powers), **meta)
 
 
-def serialize_trace_csv(trace: PowerTrace) -> str:
-    """Trace back to CSV text; floats printed in shortest round-trip form."""
-    out = [TRACE_HEADER]
-    for t, p in zip(trace.times, trace.powers):
-        out.append(f"{float(t)!r},{float(p)!r}")
-    return "\n".join(out) + "\n"
+def _format_column(values: np.ndarray) -> list[str]:
+    """Each value in shortest round-trip form, as `repr` of a Python float prints it."""
+    return list(map(repr, values.tolist()))
+
+
+def serialize_trace_csv(trace: PowerTrace, *, _time_fields: list[str] | None = None) -> str:
+    """Trace back to CSV text; floats printed in shortest round-trip form.
+
+    A writer that shares one times array across many traces may pass its
+    formatted column once as `_time_fields`; it must be
+    `_format_column(trace.times)`.
+    """
+    if _time_fields is None:
+        _time_fields = _format_column(trace.times)
+    rows = map(",".join, zip(_time_fields, _format_column(trace.powers)))
+    return TRACE_HEADER + "\n" + "\n".join(rows) + "\n"
 
 
 def _check_length(length) -> None:
-    """Reject a resample length that is not an integer of at least 2.
-
-    A numpy integer is fine; a bool is not, although Python counts it as one.
-    """
-    if isinstance(length, bool) or not isinstance(length, (int, np.integer)):
+    """Reject a resample length that is not an integer of at least 2."""
+    if not _is_integer(length):
         raise BadResampleLength(f"resample length must be an integer, got {length!r}")
     if length < 2:
         raise BadResampleLength(f"resample length must be >= 2, got {length}")
@@ -290,7 +351,10 @@ def resample(trace: PowerTrace, length: int) -> np.ndarray:
 def parse_manifest_csv(text: str, base_dir: Path | str = ".") -> CampaignManifest:
     """Parse a campaign manifest.  burn_rank may be empty (unlabeled row)."""
     reader = csv.reader(io.StringIO(text))
-    rows = [r for r in reader if r]
+    try:
+        rows = [r for r in reader if r]
+    except csv.Error as exc:
+        raise ManifestError(f"line {reader.line_num}: {exc}") from exc
     if not rows or ",".join(rows[0]).strip() != MANIFEST_HEADER:
         raise ManifestError(f"expected header {MANIFEST_HEADER!r}")
     entries = []
@@ -308,7 +372,10 @@ def parse_manifest_csv(text: str, base_dir: Path | str = ".") -> CampaignManifes
                 rank = int(rank_s)
             except ValueError:
                 raise ManifestError(f"row {i}: burn_rank {rank_s!r} is not an integer") from None
-        entries.append(ManifestEntry(trace_file, unit_id, wheel_id, parts_ground, rank))
+        try:
+            entries.append(ManifestEntry(trace_file, unit_id, wheel_id, parts_ground, rank))
+        except ValueError as exc:
+            raise ManifestError(f"row {i}: {exc}") from None
     return CampaignManifest(entries=tuple(entries), base_dir=Path(base_dir))
 
 
@@ -339,7 +406,12 @@ def save_manifest(manifest: CampaignManifest, path: Path | str) -> None:
     Path(path).write_text(serialize_manifest_csv(manifest), encoding="utf-8")
 
 
-def load_trace(path: Path | str, entry: ManifestEntry | None = None) -> PowerTrace:
+def load_trace(
+    path: Path | str,
+    entry: ManifestEntry | None = None,
+    *,
+    _column: _TimeColumn | None = None,
+) -> PowerTrace:
     """Load one trace file, attaching manifest metadata when given."""
     kwargs = {}
     if entry is not None:
@@ -349,16 +421,24 @@ def load_trace(path: Path | str, entry: ManifestEntry | None = None) -> PowerTra
             parts_ground=entry.parts_ground,
             burn_rank=entry.burn_rank,
         )
-    return _read_campaign_file(Path(path), lambda text: parse_trace_csv(text, **kwargs))
+    return _read_campaign_file(
+        Path(path), lambda text: parse_trace_csv(text, _column=_column, **kwargs))
 
 
 def build_matrix(manifest: CampaignManifest, length: int = DEFAULT_RESAMPLE_LENGTH) -> TraceMatrix:
-    """Resample every manifest trace to `length` and stack in manifest order."""
+    """Resample every manifest trace to `length` and stack in manifest order.
+
+    Every trace goes through load_trace and parse_trace_csv.  A time column
+    that repeats the previous trace's, field for field, is converted once
+    and shared read-only for the rest of this call; nothing is kept between
+    calls, and every trace is still checked in full.
+    """
     _check_length(length)
     if not manifest.entries:
         raise EmptyCampaign("manifest has no entries")
     rows = np.empty((len(manifest.entries), length))
+    column = _TimeColumn()
     for i, entry in enumerate(manifest.entries):
-        trace = load_trace(manifest.base_dir / entry.trace_file, entry)
+        trace = load_trace(manifest.base_dir / entry.trace_file, entry, _column=column)
         rows[i] = resample(trace, length)
     return TraceMatrix(values=rows, meta=manifest.entries, resample_length=length)

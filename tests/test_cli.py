@@ -229,6 +229,16 @@ def test_malformed_manifest_aborts_with_path(work, runner, tmp_path, command, ro
     assert model.exists() == (command == "predict")
 
 
+def test_oversized_manifest_field_aborts_with_path(work, runner, tmp_path):
+    bad = tmp_path / "huge-manifest.csv"
+    bad.write_text("trace_file,unit_id,wheel_id,parts_ground,burn_rank\n"
+                   "a.csv,u" + "x" * 131_072 + ",w,0,1\n")
+    result = runner.invoke(main, ["predict", "--model", str(work / "model.json"),
+                                  "--manifest", str(bad)])
+    assert result.exit_code == 2, result.output
+    assert str(bad) in result.stderr and "field larger than field limit" in result.stderr
+
+
 def test_report_to_file_flags_wear_axis(work, runner, tmp_path):
     out = tmp_path / "scores.csv"
     result = runner.invoke(main, ["report", "--model", str(work / "model.json"),

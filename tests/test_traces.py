@@ -1,3 +1,6 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -29,7 +32,8 @@ from grindmon.errors import (
     NonNumericField,
     TooFewSamples,
 )
-from grindmon.traces import TRACE_HEADER, _grid
+from grindmon import traces
+from grindmon.traces import MANIFEST_HEADER, TRACE_HEADER, _grid
 
 
 def make_trace(times, powers, **kw):
@@ -127,8 +131,12 @@ def parse_outcome(parse, text):
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
-CORRUPTIONS = ("none", "non-numeric", "nan", "inf", "equal-time", "decreasing-time",
-               "blank-line", "one-field", "three-fields")
+CORRUPTIONS = ("none", "non-numeric", "non-ascii", "nan", "inf", "adjacent-inf",
+               "equal-time", "decreasing-time", "blank-line", "one-field", "three-fields")
+# str.splitlines ends a line at each of these as well as at CR and LF
+OTHER_LINE_BOUNDARIES = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+# float() takes Unicode digits and whitespace, so some of these parse
+NON_ASCII_FIELDS = ("é", "١٢", "\u00a03.5", "2.5\u2003", "½", "1.5€")
 
 
 @st.composite
@@ -143,8 +151,12 @@ def trace_texts(draw):
     column = draw(st.integers(0, 1))
     if corruption == "non-numeric":
         rows[k][column] = draw(st.sampled_from(["abc", "1.2.3", "", "1x"]))
+    elif corruption == "non-ascii":
+        rows[k][column] = draw(st.sampled_from(NON_ASCII_FIELDS))
     elif corruption in ("nan", "inf"):
         rows[k][column] = draw(st.sampled_from([corruption, "-" + corruption]))
+    elif corruption == "adjacent-inf":
+        rows[k - 1][column] = rows[k][column] = draw(st.sampled_from(["inf", "-inf"]))
     elif corruption == "equal-time":
         rows[k][0] = rows[k - 1][0]
     elif corruption == "decreasing-time":
@@ -155,9 +167,10 @@ def trace_texts(draw):
         rows[k] = rows[k] + ["0.0"]
     lines = [",".join(r) for r in rows]
     if corruption == "blank-line":
-        lines.insert(k, draw(st.sampled_from(["", "  "])))
+        lines.insert(k, draw(st.sampled_from(["", "  ", *OTHER_LINE_BOUNDARIES])))
     eol = draw(st.sampled_from(["\n", "\r\n"]))
-    tail = draw(st.sampled_from(["", eol, eol + eol, eol + " " + eol]))
+    tail = draw(st.sampled_from(["", eol, eol + eol, eol + " " + eol,
+                                 *(eol + b for b in OTHER_LINE_BOUNDARIES)]))
     return eol.join([TRACE_HEADER] + lines) + tail
 
 
@@ -176,6 +189,16 @@ def test_parse_matches_row_loop(text):
     "time_s,power_kw\n0,1\n2,3,4\n5\n6,7\n",
     "time_s,power_kw\n",
     "time_s,power_kw\n0.0,1.0\n",
+    # other line boundaries split rows, or make blank ones, as they do for the row loop
+    "time_s,power_kw\n0,1\x0b2,3\u20284,5\n",
+    "time_s,power_kw\n0,1\n\x85\n2,3\n",
+    "time_s,power_kw\n0,1\n2,3\n\x0c\x1c\u2028",
+    # non-ASCII fields: Unicode digits and spaces parse, other symbols do not
+    "time_s,power_kw\n\u00a00,١\n١٢,2\u2003\n",
+    "time_s,power_kw\n0,1\n1,½\n",
+    # adjacent infinite times: rejected by the row loop's finiteness check, no warning
+    "time_s,power_kw\n0,1\ninf,2\ninf,3\n",
+    "time_s,power_kw\n-inf,1\n-inf,2\n0,3\n",
 ])
 def test_parse_matches_row_loop_on_fixed_cases(text):
     assert parse_outcome(parse_trace_csv, text) == parse_outcome(row_loop_parse, text)
@@ -446,3 +469,141 @@ def test_manifest_fingerprint_tracks_content(tmp_path):
     )
     assert m1.fingerprint != m2.fingerprint
     assert m1.fingerprint == CampaignManifest(m1.entries, base_dir=tmp_path).fingerprint
+
+
+# --- one time column per build_matrix call ---
+
+TIME_COLUMN_MODES = ("same", "respelled", "moved", "prefix", "other")
+times_lists = st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=20, unique=True)
+
+
+@st.composite
+def time_columns(draw, base):
+    """Time fields sharing all, all but one, a prefix, or none of `base`."""
+    mode = draw(st.sampled_from(TIME_COLUMN_MODES))
+    fields = list(base)
+    if mode == "respelled":  # one field spelled differently, same value
+        j = draw(st.integers(0, len(fields) - 1))
+        fields[j] = draw(st.sampled_from([" {}", "{} ", "{}\t"])).format(fields[j])
+    elif mode == "moved":  # one value different
+        fields[-1] = repr(float(np.nextafter(float(fields[-1]), np.inf)))
+    elif mode == "prefix":
+        fields = fields[: draw(st.integers(2, len(fields)))]
+    elif mode == "other":
+        fields = [repr(t) for t in sorted(draw(times_lists))]
+    return fields
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), base=times_lists, length=st.integers(2, 64))
+def test_build_matrix_is_bit_equal_to_row_loop_parse_and_resample(data, base, length):
+    base = [repr(t) for t in sorted(base)]
+    columns = data.draw(st.lists(time_columns(base), min_size=1, max_size=6))
+    with tempfile.TemporaryDirectory() as tmp:
+        entries, expected = [], []
+        for i, fields in enumerate(columns):
+            powers = data.draw(st.lists(st.floats(-1e6, 1e6), min_size=len(fields),
+                                        max_size=len(fields)))
+            rows = [f"{t},{p!r}" for t, p in zip(fields, powers)]
+            text = "\n".join([TRACE_HEADER, *rows]) + "\n"
+            (Path(tmp) / f"u{i}.csv").write_text(text, encoding="utf-8")
+            entries.append(ManifestEntry(f"u{i}.csv", f"u{i}", "w", i, 1))
+            expected.append(resample(row_loop_parse(text), length))
+        matrix = build_matrix(CampaignManifest(tuple(entries), base_dir=tmp), length)
+    assert matrix.values.tobytes() == np.array(expected).tobytes()
+
+
+def test_build_matrix_shares_a_read_only_time_array(tmp_path, monkeypatch):
+    manifest = write_campaign(tmp_path, [
+        ("a", "w", 0, 1, [1.0, 2.0, 3.0]),
+        ("b", "w", 1, 1, [2.0, 3.0, 4.0]),
+        ("c", "w", 2, 1, [5.0, 6.0, 7.0, 8.0]),
+        ("d", "w", 3, 1, [5.0, 6.0, 7.0]),
+    ])
+    seen = []
+
+    def recording_resample(trace, length, resample=traces.resample):
+        seen.append(trace)
+        return resample(trace, length)
+
+    monkeypatch.setattr(traces, "resample", recording_resample)
+    build_matrix(manifest, 8)
+    a, b, c, d = seen
+    # only the previous trace's column is reused
+    assert b.times is a.times and c.times is not b.times and d.times is not c.times
+    assert np.array_equal(d.times, a.times) and d.times is not a.times
+    for trace in seen:
+        assert not trace.times.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        b.times[0] = 1.0
+    build_matrix(manifest, 8)  # nothing is kept from one call to the next
+    assert seen[4].times is not d.times
+    assert parse_trace_csv("time_s,power_kw\n0,1\n1,2\n").times.flags.writeable
+
+
+# --- metadata that a manifest can carry back ---
+
+@pytest.mark.parametrize("parts_ground, burn_rank", [
+    (2.5, 1), (3.0, 1), (np.float64(3.0), 1), (True, 1), ("3", 1), (None, 1), (-1, 1),
+    (0, True), (0, np.bool_(True)), (0, 2.0), (0, "2"), (0, 0), (0, 4),
+], ids=lambda v: repr(v))
+def test_metadata_rejects_non_integer_counts_and_ranks(parts_ground, burn_rank):
+    with pytest.raises(ValueError):
+        make_trace([0.0, 1.0], [1.0, 2.0], parts_ground=parts_ground, burn_rank=burn_rank)
+    with pytest.raises(ValueError):
+        ManifestEntry("a.csv", "u", "w", parts_ground, burn_rank)
+
+
+def test_metadata_accepts_numpy_integers():
+    trace = make_trace([0.0, 1.0], [1.0, 2.0], parts_ground=np.int64(5), burn_rank=np.int32(2))
+    assert trace.label == "Burn"
+    entry = ManifestEntry("a.csv", "u", "w", np.uint16(5), np.int8(1))
+    assert entry.label == "NoBurn"
+
+
+@pytest.mark.parametrize("bad", [" u", "u ", "\tu", "u\u00a0", "a\rb", "a\nb", "u\r\n", 5, None],
+                         ids=repr)
+@pytest.mark.parametrize("field", ["trace_file", "unit_id", "wheel_id"])
+def test_metadata_rejects_ids_the_manifest_reader_would_change(field, bad):
+    ids = {"trace_file": "a.csv", "unit_id": "u", "wheel_id": "w", field: bad}
+    with pytest.raises(ValueError, match=field):
+        ManifestEntry(ids["trace_file"], ids["unit_id"], ids["wheel_id"], 0, 1)
+    if field != "trace_file":
+        with pytest.raises(ValueError, match=field):
+            make_trace([0.0, 1.0], [1.0, 2.0], unit_id=ids["unit_id"], wheel_id=ids["wheel_id"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(ids=st.lists(st.text(max_size=8), min_size=3, max_size=3),
+       parts_ground=st.integers(0, 10**20), burn_rank=st.sampled_from([None, 1, 2, 3]))
+def test_every_accepted_manifest_entry_reads_back_equal(tmp_path_factory, ids, parts_ground,
+                                                         burn_rank):
+    try:
+        entry = ManifestEntry(*ids, parts_ground, burn_rank)
+    except ValueError:
+        assume(False)
+    tmp = tmp_path_factory.getbasetemp()
+    manifest = CampaignManifest((entry,), base_dir=tmp)
+    assert parse_manifest_csv(serialize_manifest_csv(manifest), tmp).entries == (entry,)
+    save_manifest(manifest, tmp / "round-trip-manifest.csv")
+    assert load_manifest(tmp / "round-trip-manifest.csv").entries == (entry,)
+
+
+@pytest.mark.parametrize("row, message", [
+    ('a.csv,"u\nv",w,0,1\n', "row 1: unit_id"),
+    ("a.csv,u,w,-1,1\n", "row 1: parts_ground"),
+    ("a.csv,u,w,0,4\n", "row 1: burn_rank"),
+    ("a.csv,u" + "x" * 131_072 + ",w,0,1\n", "line 2: field larger than field limit"),
+    ("a.csv,u\rv,w,0,1\n", "line 2: new-line character seen in unquoted field"),
+], ids=["quoted-newline-id", "negative-parts", "rank-4", "oversized-field", "bare-cr"])
+def test_manifest_reader_raises_only_manifest_errors(row, message):
+    with pytest.raises(ManifestError, match=message):
+        parse_manifest_csv(MANIFEST_HEADER + "\n" + row)
+
+
+def test_load_manifest_wraps_csv_errors_with_the_path(tmp_path):
+    path = tmp_path / "huge-manifest.csv"
+    path.write_text(MANIFEST_HEADER + "\na.csv,u" + "x" * 131_072 + ",w,0,1\n")
+    with pytest.raises(CampaignFileError) as err:
+        load_manifest(path)
+    assert str(path) in str(err.value) and isinstance(err.value.cause, ManifestError)
