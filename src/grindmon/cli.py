@@ -7,8 +7,10 @@ state Burn.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import functools
+import io
 import sys
 from pathlib import Path
 
@@ -140,13 +142,14 @@ def fit(manifest_path, model_path, resample_length, components, variance_target,
 
 
 def _predictions_csv(manifest, verdicts) -> str:
-    lines = ["unit_id,wheel_id,parts_ground,ld1,predicted,label"]
+    """One CSV row per unit; an id holding a comma or a quote is quoted."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["unit_id", "wheel_id", "parts_ground", "ld1", "predicted", "label"])
     for entry, verdict in zip(manifest.entries, verdicts):
-        lines.append(
-            f"{entry.unit_id},{entry.wheel_id},{entry.parts_ground},"
-            f"{verdict.ld1!r},{verdict.label},{entry.label or ''}"
-        )
-    return "\n".join(lines) + "\n"
+        writer.writerow([entry.unit_id, entry.wheel_id, entry.parts_ground,
+                         repr(verdict.ld1), verdict.label, entry.label or ""])
+    return buf.getvalue()
 
 
 def _echo_confusion(counts) -> None:

@@ -185,11 +185,15 @@ def classify(model: LdaModel, scores: np.ndarray):
     """(ld1, labels) for one score vector or an n x k stack, labels shaped like ld1.
 
     The one decision rule: Burn exactly when ld1 >= threshold, so ties are Burn.
+    ld1 is `ld1_score`'s product, with the input converted and checked once.
     """
     scores = np.asarray(scores, dtype=float)
-    if scores.ndim not in (1, 2):
-        raise DimensionMismatch("classify takes a score vector or a stack of score rows")
-    ld1 = ld1_score(model, scores)
+    if scores.ndim not in (1, 2) or scores.shape[-1] != model.direction.size:
+        raise DimensionMismatch(
+            f"classify takes a score vector or a stack of score rows of"
+            f" {model.direction.size} components, got shape {scores.shape}"
+        )
+    ld1 = scores @ model.direction
     return ld1, _LABELS.take(ld1 >= model.threshold)
 
 

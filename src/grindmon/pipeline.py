@@ -7,6 +7,7 @@ bundle, and tabulate per-unit scores with wear-trend diagnostics.
 
 from __future__ import annotations
 
+import csv
 import io
 from dataclasses import dataclass
 
@@ -199,16 +200,17 @@ def build_report(bundle: ModelBundle, manifest: CampaignManifest) -> ScoreReport
 
 
 def report_to_csv(report: ScoreReport) -> str:
-    """Flat CSV table of the report, one row per unit in campaign order."""
+    """Flat CSV table of the report, one row per unit in campaign order.
+
+    An id holding a comma or a quote is quoted, as the csv module reads it.
+    """
     buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
     pc_cols = [f"pc_{j + 1}" for j in range(report.n_components)]
-    buf.write(
-        ",".join(
-            ["obs_index", "unit_id", "wheel_id", "parts_ground", "label", "predicted"]
-            + pc_cols
-            + ["ld1", "threshold", "warning_limit"]
-        )
-        + "\n"
+    writer.writerow(
+        ["obs_index", "unit_id", "wheel_id", "parts_ground", "label", "predicted"]
+        + pc_cols
+        + ["ld1", "threshold", "warning_limit"]
     )
     for i in range(len(report.unit_ids)):
         row = [
@@ -225,5 +227,5 @@ def report_to_csv(report: ScoreReport) -> str:
             repr(float(report.threshold)),
             repr(float(report.warning_limit)),
         ]
-        buf.write(",".join(row) + "\n")
+        writer.writerow(row)
     return buf.getvalue()

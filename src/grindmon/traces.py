@@ -9,6 +9,7 @@ Parsing is strict: bad sensor data is rejected, never repaired.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import io
 import operator
@@ -314,11 +315,17 @@ def _check_length(length) -> None:
         raise BadResampleLength(f"resample length must be >= 2, got {length}")
 
 
+@functools.lru_cache(maxsize=1)
 def _grid(t0: float, t1: float, length: int) -> np.ndarray:
     """`length` equally spaced times over [t0, t1], bit-equal to np.linspace.
 
     The same float64 arithmetic as np.linspace without its call overhead,
-    including its branch for a span whose step underflows to 0.
+    including its branch for a span whose step underflows to 0.  The last
+    grid is kept, keyed on the exact (t0, t1, length), and returned again,
+    read-only, for a repeated key: every trace of a fixed-rate, fixed-length
+    cycle shares one grid, and any other span builds its own.  Keys compare
+    as floats, so 0.0 and -0.0 share an entry; the two grids differ at most
+    in the sign of a zero endpoint, which np.interp reads alike.
     """
     div = length - 1
     delta = t1 - t0
@@ -331,6 +338,7 @@ def _grid(t0: float, t1: float, length: int) -> np.ndarray:
         grid *= step
     grid += t0
     grid[-1] = t1
+    grid.setflags(write=False)
     return grid
 
 
@@ -338,7 +346,9 @@ def resample(trace: PowerTrace, length: int) -> np.ndarray:
     """Power linearly interpolated at `length` equally spaced times.
 
     The grid spans [t_first, t_last]; both endpoint values are preserved
-    exactly.
+    exactly.  The grid comes from `_grid`, which reuses the previous call's
+    grid when (t_first, t_last, length) repeats; the result is always a
+    fresh, writable array.
     """
     _check_length(length)
     times = trace.times

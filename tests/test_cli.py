@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -6,6 +7,8 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from grindmon import CampaignManifest, ManifestEntry, load_manifest, load_model, save_manifest
 from grindmon.cli import main
@@ -13,11 +16,23 @@ from grindmon.cli import main
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def make_runner() -> CliRunner:
+    """A runner that keeps stderr apart from stdout.
+
+    click 8.2 and later always do; click 8.0 and 8.1 (the declared floor)
+    need mix_stderr=False, an argument that later versions no longer take.
+    """
+    try:
+        return CliRunner(mix_stderr=False)
+    except TypeError:
+        return CliRunner()
+
+
 @pytest.fixture(scope="module")
 def work(tmp_path_factory):
     """Campaign plus fitted model produced through the CLI itself."""
     root = tmp_path_factory.mktemp("cli")
-    runner = CliRunner()
+    runner = make_runner()
     sim = runner.invoke(main, ["simulate", "--preset", "table2-counts",
                                "--out", str(root / "camp"), "--seed", "42"])
     assert sim.exit_code == 0, sim.output
@@ -30,7 +45,7 @@ def work(tmp_path_factory):
 
 @pytest.fixture()
 def runner():
-    return CliRunner()
+    return make_runner()
 
 
 def test_simulate_reports_layout(tmp_path, runner):
@@ -136,6 +151,31 @@ def test_predict_empty_manifest_is_input_error(work, runner, tmp_path):
     result = runner.invoke(main, ["predict", "--model", str(work / "model.json"),
                                   "--manifest", str(empty)])
     assert result.exit_code == 2
+
+
+def test_predict_and_report_quote_ids_with_commas_and_quotes(work, runner, tmp_path):
+    manifest = load_manifest(work / "camp" / "wheel2-manifest.csv")
+    odd_ids = ['unit,"7"', 'a"b', "plain", "c,d"]
+    entries = tuple(ManifestEntry(e.trace_file, unit_id, 'wheel,"2"', e.parts_ground, e.burn_rank)
+                    for e, unit_id in zip(manifest.entries, odd_ids))
+    save_manifest(CampaignManifest(entries, base_dir=manifest.base_dir),
+                  work / "camp" / "odd-ids-manifest.csv")
+    tables = {}
+    for command in ("predict", "report"):
+        out = tmp_path / f"{command}.csv"
+        result = runner.invoke(main, [command, "--model", str(work / "model.json"),
+                                      "--manifest", str(work / "camp" / "odd-ids-manifest.csv"),
+                                      "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        with out.open(newline="", encoding="utf-8") as f:
+            tables[command] = list(csv.reader(f))
+    for command, width in (("predict", 6), ("report", 10)):
+        header, *rows = tables[command]
+        assert len(header) == width and len(rows) == len(odd_ids)
+        assert all(len(row) == width for row in rows)
+        unit_col, wheel_col = header.index("unit_id"), header.index("wheel_id")
+        assert [row[unit_col] for row in rows] == odd_ids
+        assert {row[wheel_col] for row in rows} == {'wheel,"2"'}
 
 
 def trace_paths(work, wheel, max_parts=None):
@@ -301,3 +341,69 @@ def test_cli_import_does_not_load_scipy():
                           env={**os.environ, "PYTHONPATH": pythonpath})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+# --- byte fuzz: any input file gives a documented exit code, never a traceback ---
+
+TRACE_SEED = b"time_s,power_kw\n0.0,1.0\n0.05,2.5\n0.1,1.5\n"
+TRACE_TOKENS = [b"time_s,power_kw", b"\n", b"\r\n", b"\r", b",", b"0", b"0.05", b"0.1", b"1.5",
+                b"1e308", b"-1e308", b"-", b".", b"nan", b"inf", b" ", b'"', b"\xff", b"\x00",
+                b"1_0", b"0x10", b""]
+MANIFEST_SEED = (b"trace_file,unit_id,wheel_id,parts_ground,burn_rank\n"
+                 b"wheel1/wheel1-p00160-u00.csv,u0,w,160,1\n"
+                 b"wheel1/wheel1-p00160-u01.csv,u1,w,160,\n")
+MANIFEST_TOKENS = [b"trace_file,unit_id,wheel_id,parts_ground,burn_rank", b"\n", b"\r", b",",
+                   b"wheel1/wheel1-p00160-u00.csv", b"wheel1", b"missing.csv", b"a\x00b.csv",
+                   b"u0", b" u1", b'"u,""2"', b"w", b"0", b"160", b"-1", b"2", b"4", b"2.5",
+                   b"99999999999999999999", b" ", b'"', b"\xff", b"\x00", b"."]
+
+
+def fuzz_bytes(seed: bytes, tokens: list[bytes]):
+    """Raw bytes, a valid file with a few fields replaced, or its header over rows of tokens."""
+    lines = [line.split(b",") for line in seed.splitlines()]
+    edit = st.tuples(st.integers(0, len(lines) - 1), st.integers(0, 5), st.sampled_from(tokens))
+
+    def apply(edits):
+        rows = [list(fields) for fields in lines]
+        for i, j, token in edits:
+            if j < len(rows[i]):
+                rows[i][j] = token
+            else:
+                rows[i].append(token)
+        return b"\n".join(map(b",".join, rows)) + b"\n"
+
+    row = st.lists(st.sampled_from(tokens), min_size=1, max_size=6)
+    return st.one_of(st.binary(max_size=200),
+                     st.lists(edit, max_size=3).map(apply),
+                     st.lists(row, max_size=5).map(
+                         lambda rows: b"\n".join(map(b",".join, [lines[0], *rows]))))
+
+
+def assert_clean_exit(result):
+    assert result.exit_code in (0, 2, 3, 4), result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit), \
+        repr(result.exception)
+    assert "Traceback" not in result.output
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=fuzz_bytes(TRACE_SEED, TRACE_TOKENS))
+@example(data=TRACE_SEED)
+def test_monitor_fuzzed_trace_bytes_exit_cleanly(work, data):
+    trace = work / "fuzz-trace.csv"
+    trace.write_bytes(data)
+    result = make_runner().invoke(main, ["monitor", "--model", str(work / "model.json"),
+                                         str(trace)])
+    assert_clean_exit(result)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=fuzz_bytes(MANIFEST_SEED, MANIFEST_TOKENS))
+@example(data=MANIFEST_SEED)
+@example(data=MANIFEST_SEED.replace(b"wheel1/", b"wheel1\x00/", 1))  # ValueError from open
+def test_predict_fuzzed_manifest_bytes_exit_cleanly(work, data):
+    manifest = work / "camp" / "fuzz-manifest.csv"
+    manifest.write_bytes(data)
+    result = make_runner().invoke(main, ["predict", "--model", str(work / "model.json"),
+                                         "--manifest", str(manifest)])
+    assert_clean_exit(result)

@@ -344,6 +344,41 @@ def test_resample_output_is_bit_equal_to_the_linspace_formula(scale, offset, gap
     assert resample(trace, length).tobytes() == linspace_resample(trace, length).tobytes()
 
 
+def test_grid_is_one_read_only_array_for_a_repeated_span():
+    grid = _grid(np.float64(0.0), np.float64(25.6), 512)
+    assert _grid(np.float64(0.0), np.float64(25.6), 512) is grid
+    assert not grid.flags.writeable
+    with pytest.raises(ValueError):
+        grid[0] = 1.0
+    assert _grid(np.float64(0.0), np.float64(25.6), 513) is not grid
+
+
+def test_resample_of_interleaved_spans_is_bit_equal_to_linspace():
+    rng = np.random.default_rng(5)
+    a = make_trace(np.arange(40) * 0.05, rng.normal(size=40))
+    b = make_trace(0.3 + np.arange(25) * 0.031, rng.normal(size=25))
+    # a's span with other inner times: the grid depends on the span alone
+    a_inner = make_trace(np.r_[0.0, np.sort(rng.uniform(0.01, 1.94, 30)), 1.95],
+                         rng.normal(size=32))
+    # a zero end of either sign shares one cache entry
+    pos_zero = make_trace([-1.0, -0.5, 0.0], [1.0, 2.0, 3.0])
+    neg_zero = make_trace([-1.0, -0.5, -0.0], [4.0, 5.0, 6.0])
+    for trace in (a, b, a, a_inner, b, a, pos_zero, neg_zero, pos_zero):
+        for length in (17, 17, 512):
+            assert (resample(trace, length).tobytes()
+                    == linspace_resample(trace, length).tobytes())
+
+
+def test_writing_into_a_resample_result_leaves_the_next_unchanged():
+    trace = make_trace(np.arange(20) * 0.05, np.linspace(1.0, 3.0, 20))
+    first = resample(trace, 64)
+    assert first.flags.writeable
+    first[:] = 99.0
+    second = resample(trace, 64)
+    assert second is not first and second.flags.writeable
+    assert second.tobytes() == linspace_resample(trace, 64).tobytes()
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     slope=st.floats(-5, 5, allow_nan=False),
