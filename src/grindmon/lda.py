@@ -171,29 +171,30 @@ def fit_lda(
     return model
 
 
+def _ld1(model: LdaModel, scores: np.ndarray):
+    """ld1 of a float score array after its one component check."""
+    direction = model.direction
+    if scores.shape[-1] != direction.size:
+        raise DimensionMismatch(
+            f"expected {direction.size} score components, got {scores.shape[-1]}"
+        )
+    return scores @ direction
+
+
 def ld1_score(model: LdaModel, scores: np.ndarray):
     """Discriminant score dot(direction, scores); accepts a vector or row stack."""
-    scores = np.asarray(scores, dtype=float)
-    if scores.shape[-1] != model.n_components:
-        raise DimensionMismatch(
-            f"expected {model.n_components} score components, got {scores.shape[-1]}"
-        )
-    return scores @ model.direction
+    return _ld1(model, np.asarray(scores, dtype=float))
 
 
 def classify(model: LdaModel, scores: np.ndarray):
     """(ld1, labels) for one score vector or an n x k stack, labels shaped like ld1.
 
     The one decision rule: Burn exactly when ld1 >= threshold, so ties are Burn.
-    ld1 is `ld1_score`'s product, with the input converted and checked once.
     """
     scores = np.asarray(scores, dtype=float)
-    if scores.ndim not in (1, 2) or scores.shape[-1] != model.direction.size:
-        raise DimensionMismatch(
-            f"classify takes a score vector or a stack of score rows of"
-            f" {model.direction.size} components, got shape {scores.shape}"
-        )
-    ld1 = scores @ model.direction
+    if scores.ndim not in (1, 2):
+        raise DimensionMismatch("classify takes a score vector or a stack of score rows")
+    ld1 = _ld1(model, scores)
     return ld1, _LABELS.take(ld1 >= model.threshold)
 
 

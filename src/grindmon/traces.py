@@ -321,11 +321,14 @@ def _grid(t0: float, t1: float, length: int) -> np.ndarray:
 
     The same float64 arithmetic as np.linspace without its call overhead,
     including its branch for a span whose step underflows to 0.  The last
-    grid is kept, keyed on the exact (t0, t1, length), and returned again,
-    read-only, for a repeated key: every trace of a fixed-rate, fixed-length
-    cycle shares one grid, and any other span builds its own.  Keys compare
-    as floats, so 0.0 and -0.0 share an entry; the two grids differ at most
-    in the sign of a zero endpoint, which np.interp reads alike.
+    grid is kept, keyed on the exact (t0, t1, length), and returned again for
+    a repeated key, so every trace of a fixed-rate, fixed-length cycle shares
+    one grid; a trace of any other span builds its own and also pays the
+    cache's upkeep.  Callers must not write to the grid; it is not marked
+    read-only because np.interp copies a read-only input on every call.
+    Keys compare as floats, so 0.0 and -0.0 share an entry; the two grids
+    differ at most in the sign of a zero endpoint, which np.interp reads
+    alike.
     """
     div = length - 1
     delta = t1 - t0
@@ -338,7 +341,6 @@ def _grid(t0: float, t1: float, length: int) -> np.ndarray:
         grid *= step
     grid += t0
     grid[-1] = t1
-    grid.setflags(write=False)
     return grid
 
 
