@@ -360,7 +360,7 @@ def test_resample_of_interleaved_spans_is_bit_equal_to_linspace():
     a = make_trace(np.arange(40) * 0.05, rng.normal(size=40))
     b = make_trace(0.3 + np.arange(25) * 0.031, rng.normal(size=25))
     # a's span with other inner times: the grid depends on the span alone
-    a_inner = make_trace(np.r_[0.0, np.sort(rng.uniform(0.01, 1.94, 30)), 1.95],
+    a_inner = make_trace(np.r_[0.0, np.sort(rng.uniform(0.01, 1.94, 30)), a.times[-1]],
                          rng.normal(size=32))
     # a zero end of either sign shares one cache entry
     pos_zero = make_trace([-1.0, -0.5, 0.0], [1.0, 2.0, 3.0])
