@@ -46,8 +46,10 @@ from .pipeline import (
     build_report,
     confusion_matrix,
     fit_bundle,
+    fit_matrix,
     predict_campaign,
     report_to_csv,
+    score_matrix,
 )
 from .simulate import (
     PRESETS,

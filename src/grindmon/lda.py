@@ -112,7 +112,8 @@ def fit_lda(
 
     Sw uses the pooled (n - 2) denominator and is regularized as
     Sw + ridge * (trace(Sw) / k) * I before inversion.  priors default to
-    the training class proportions; the threshold is the projected-mean
+    the training class proportions; given ones must be positive and finite
+    and are scaled to sum to 1.  The threshold is the projected-mean
     midpoint shifted by ln(p_noburn / p_burn) * s2_pooled / (mu_burn - mu_noburn).
     """
     scores = np.asarray(scores, dtype=float)
@@ -152,10 +153,13 @@ def fit_lda(
     if priors is None:
         priors = (len(noburn) / n, len(burn) / n)
     p_n, p_b = (float(priors[0]), float(priors[1]))
-    if not (p_n > 0 and p_b > 0):
-        raise ValueError("priors must be positive")
-    total = p_n + p_b
-    p_n, p_b = p_n / total, p_b / total
+    if not (0 < p_n < math.inf and 0 < p_b < math.inf):
+        raise ValueError("priors must be positive and finite")
+    scale = 2.0 if p_n + p_b == math.inf else 1.0  # halving is exact and keeps the sum finite
+    total = p_n / scale + p_b / scale
+    p_n, p_b = p_n / scale / total, p_b / scale / total
+    if not (0 < p_n < 1 and 0 < p_b < 1):
+        raise ValueError("priors too unequal: the smaller one vanishes beside the larger")
 
     s2_pooled = _pooled_variance(noburn @ direction, burn @ direction)
     threshold = 0.5 * (mu_n_ld + mu_b_ld) + math.log(p_n / p_b) * s2_pooled / (mu_b_ld - mu_n_ld)

@@ -1,8 +1,8 @@
 """End-to-end fitting, batch prediction, and score reporting.
 
-Glue between the trace/manifest layer and the PCA + discriminant models:
-fit a full bundle from a labeled campaign, score any campaign against a
-bundle, and tabulate per-unit scores with wear-trend diagnostics.
+fit_matrix and score_matrix hold the statistics on an in-memory trace matrix;
+fit_bundle, predict_campaign and build_report load a campaign with
+build_matrix and call them.  build_report adds wear-trend diagnostics.
 """
 
 from __future__ import annotations
@@ -40,61 +40,40 @@ class FitSummary:
     warning_limit: float
 
 
-def _require_labels(manifest: CampaignManifest) -> list[str]:
-    labels = []
-    for i, entry in enumerate(manifest.entries, start=1):
-        label = entry.label
-        if label is None:
-            raise ManifestError(
-                f"row {i} (unit {entry.unit_id}) has no burn_rank; "
-                "fitting needs every unit labeled"
-            )
-        labels.append(label)
-    return labels
-
-
-def fit_bundle(
-    manifest: CampaignManifest,
-    resample_length: int = DEFAULT_RESAMPLE_LENGTH,
+def fit_matrix(
+    X,
+    labels,
+    training_fingerprint: str,
     components: int | None = None,
     variance_target: float | None = None,
     priors: tuple[float, float] | None = None,
     ridge: float = DEFAULT_RIDGE,
     monitor_config: MonitorConfig = MonitorConfig(),
 ) -> tuple[ModelBundle, FitSummary]:
-    """Fit PCA then the burn discriminant on a fully labeled campaign.
+    """Fit PCA then the burn discriminant on an n x L trace matrix and its n labels.
 
-    Component count comes from `components` when given, otherwise from the
-    smallest count reaching `variance_target` (default 0.95) cumulative
-    variance, capped at n - 2 so the two-class scatter stays estimable.
+    L becomes the bundle's resample length.  The component count is
+    `components` when given, else the smallest count reaching
+    `variance_target` (default 0.95) cumulative variance, capped at n - 2 so
+    the two-class scatter stays estimable.  Reads no files.
     """
     if components is not None and variance_target is not None:
         raise ValueError("pass components or variance_target, not both")
-    labels = _require_labels(manifest)
-    matrix = build_matrix(manifest, resample_length)
-    X = matrix.values
-    n = X.shape[0]
-
+    labels = list(labels)
     if components is not None:
         pca = fit_pca(X, int(components))
     else:
         target = DEFAULT_VARIANCE_TARGET if variance_target is None else float(variance_target)
         pca = fit_pca(X, target)
-        pca = truncate(pca, min(pca.n_components, max(1, n - 2)))
+        pca = truncate(pca, min(pca.n_components, max(1, pca.n_train - 2)))
 
-    scores = project(pca, X)
-    lda = fit_lda(scores, labels, priors=priors, ridge=ridge)
-    bundle = ModelBundle(
-        resample_length=resample_length,
-        pca=pca,
-        lda=lda,
-        monitor_config=monitor_config,
-        training_fingerprint=manifest.fingerprint,
-    )
+    lda = fit_lda(project(pca, X), labels, priors=priors, ridge=ridge)
+    bundle = ModelBundle(resample_length=pca.n_variables, pca=pca, lda=lda,
+                         monitor_config=monitor_config, training_fingerprint=training_fingerprint)
     bundle.validate()
     summary = FitSummary(
-        n_observations=n,
-        n_samples_per_trace=resample_length,
+        n_observations=pca.n_train,
+        n_samples_per_trace=pca.n_variables,
         n_components=pca.n_components,
         cumulative_variance=float(np.sum(pca.explained_variance_ratio)),
         n_noburn=labels.count(LABEL_NOBURN),
@@ -105,15 +84,29 @@ def fit_bundle(
     return bundle, summary
 
 
-def _score_campaign(bundle: ModelBundle, manifest: CampaignManifest) -> tuple[np.ndarray, ...]:
-    """PCA scores (n x k), LD1 and labels for every unit, in manifest order."""
-    scores = project(bundle.pca, build_matrix(manifest, bundle.resample_length).values)
+def score_matrix(bundle: ModelBundle, X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """PCA scores (n x k), LD1 and labels for every row of an n x L trace matrix."""
+    scores = project(bundle.pca, X)
     return (scores, *classify(bundle.lda, scores))
+
+
+def fit_bundle(manifest: CampaignManifest, resample_length: int = DEFAULT_RESAMPLE_LENGTH,
+               **options) -> tuple[ModelBundle, FitSummary]:
+    """fit_matrix on a fully labeled campaign, resampled to `resample_length`."""
+    for i, entry in enumerate(manifest.entries, start=1):
+        if entry.label is None:
+            raise ManifestError(
+                f"row {i} (unit {entry.unit_id}) has no burn_rank; "
+                "fitting needs every unit labeled"
+            )
+    X = build_matrix(manifest, resample_length).values
+    return fit_matrix(X, manifest.labels(), manifest.fingerprint, **options)
 
 
 def predict_campaign(bundle: ModelBundle, manifest: CampaignManifest) -> list[HealthVerdict]:
     """Score every unit in manifest order against a fitted bundle."""
-    _, ld1, labels = _score_campaign(bundle, manifest)
+    X = build_matrix(manifest, bundle.resample_length).values
+    _, ld1, labels = score_matrix(bundle, X)
     margins = (ld1 - bundle.lda.threshold).tolist()
     rows = zip(manifest.entries, ld1.tolist(), labels.tolist(), margins)
     return [HealthVerdict(e.unit_id, v, label, m) for e, v, label, m in rows]
@@ -181,7 +174,8 @@ def build_report(bundle: ModelBundle, manifest: CampaignManifest) -> ScoreReport
     is non-decreasing in parts ground per wheel, so rank correlation with
     the observation index reads as correlation with wear.
     """
-    scores, ld1, labels = _score_campaign(bundle, manifest)
+    X = build_matrix(manifest, bundle.resample_length).values
+    scores, ld1, labels = score_matrix(bundle, X)
     pc_rho = np.array([_spearman_vs_order(scores[:, j]) for j in range(scores.shape[1])])
     return ScoreReport(
         unit_ids=tuple(e.unit_id for e in manifest.entries),

@@ -405,7 +405,7 @@ def _read_campaign_file(path: Path, parse):
     """parse(text) of one UTF-8 file; any failure to read or parse it names the path."""
     try:
         return parse(path.read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, GrindmonError) as exc:
+    except (OSError, ValueError, GrindmonError) as exc:  # ValueError: bad UTF-8, a NUL in the path
         raise CampaignFileError(path, exc) from exc
 
 

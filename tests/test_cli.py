@@ -111,7 +111,11 @@ def test_fit_rejects_bad_priors(work, runner, tmp_path):
             "--model", str(tmp_path / "m.json")]
     assert runner.invoke(main, base + ["--priors", "lots"]).exit_code == 2
     assert runner.invoke(main, base + ["--priors", "0,-1"]).exit_code == 2
+    infinite = runner.invoke(main, base + ["--priors", "inf,1"])
+    assert infinite.exit_code == 2 and "finite" in infinite.stderr
     assert runner.invoke(main, base + ["--priors", "equal"]).exit_code == 0
+    assert runner.invoke(main, base + ["--priors", "1e308,1e308"]).exit_code == 0
+    assert load_model(tmp_path / "m.json").lda.priors == (0.5, 0.5)
 
 
 def test_predict_prints_table_and_confusion(work, runner):
@@ -151,6 +155,16 @@ def test_predict_empty_manifest_is_input_error(work, runner, tmp_path):
     result = runner.invoke(main, ["predict", "--model", str(work / "model.json"),
                                   "--manifest", str(empty)])
     assert result.exit_code == 2
+
+
+def test_predict_names_a_trace_path_holding_a_nul_byte(work, runner):
+    manifest = work / "camp" / "nul-manifest.csv"
+    manifest.write_bytes(b"trace_file,unit_id,wheel_id,parts_ground,burn_rank\n"
+                         b"wheel1\x00/wheel1-p00160-u00.csv,u0,w,160,1\n")
+    result = runner.invoke(main, ["predict", "--model", str(work / "model.json"),
+                                  "--manifest", str(manifest)])
+    assert result.exit_code == 2
+    assert "wheel1\x00/wheel1-p00160-u00.csv: embedded null byte" in result.stderr
 
 
 def test_predict_and_report_quote_ids_with_commas_and_quotes(work, runner, tmp_path):

@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -144,6 +146,30 @@ def test_priors_shift_threshold():
         fit_lda(scores, labels, priors=(0.0, 1.0))
     with pytest.raises(ValueError):
         fit_lda(scores, labels, priors=(-0.2, 1.2))
+
+
+def test_huge_equal_priors_mean_equal_priors_and_infinite_ones_are_rejected():
+    scores = np.array([0.0, 1.0, 4.0, 5.0])
+    labels = [N, N, B, B]
+    huge = fit_lda(scores, labels, priors=(1e308, 1e308))
+    assert huge.priors == (0.5, 0.5)
+    assert huge.threshold == fit_lda(scores, labels, priors=(0.5, 0.5)).threshold
+    for priors in [(math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0)]:
+        with pytest.raises(ValueError):
+            fit_lda(scores, labels, priors=priors)
+
+
+@settings(max_examples=300, deadline=None)
+@given(priors=st.tuples(st.floats(), st.floats()))
+@example(priors=(1e10, 5e-324))  # the smaller prior normalises to 0
+def test_any_float_priors_normalise_or_raise_value_error(priors):
+    try:
+        model = fit_lda(np.array([0.0, 1.0, 4.0, 5.0]), [N, N, B, B], priors=priors)
+    except ValueError:
+        return
+    p_n, p_b = model.priors
+    assert 0 < p_n < 1 and 0 < p_b < 1 and abs(p_n + p_b - 1) <= 1e-9
+    assert math.isfinite(model.threshold)
 
 
 def test_default_priors_are_training_proportions():

@@ -4,15 +4,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grindmon import (
+    DEFAULT_RESAMPLE_LENGTH,
     CampaignManifest,
     ManifestEntry,
     PowerTrace,
     build_report,
     confusion_matrix,
     fit_bundle,
+    fit_matrix,
+    generate_campaign,
+    generate_wheel_traces,
+    load_manifest,
+    model_to_json,
     predict_campaign,
     report_to_csv,
+    resample,
+    score_matrix,
     serialize_trace_csv,
+    table2_preset,
 )
 from grindmon.errors import ManifestError
 from grindmon.lda import HealthVerdict
@@ -80,6 +89,43 @@ def test_fit_summary_matches_bundle(wheel1_fit, wheel1_manifest):
 def test_predict_campaign_keeps_manifest_order(wheel1_bundle, wheel2_manifest):
     verdicts = predict_campaign(wheel1_bundle, wheel2_manifest)
     assert [v.unit_id for v in verdicts] == [e.unit_id for e in wheel2_manifest.entries]
+
+
+@pytest.mark.parametrize("seed", [0, 7, 42])
+def test_in_memory_core_equals_the_csv_route(tmp_path, seed):
+    """fit_matrix and score_matrix on generated traces give what the written campaign gives.
+
+    This pins the trace CSV write and parse round trip end to end: the model
+    JSON is byte-identical and every LD1 is bit-equal.
+    """
+    preset = table2_preset(seed)
+    generate_campaign(preset, tmp_path)
+    manifests = [load_manifest(tmp_path / f"{w.wheel_id}-manifest.csv") for w in preset.wheels]
+    traces = [list(generate_wheel_traces(w)) for w in preset.wheels]
+    matrices = [np.array([resample(t, DEFAULT_RESAMPLE_LENGTH) for t in ts]) for ts in traces]
+
+    bundle, summary = fit_matrix(matrices[0], [t.label for t in traces[0]],
+                                 manifests[0].fingerprint)
+    csv_bundle, csv_summary = fit_bundle(manifests[0])
+    assert model_to_json(bundle) == model_to_json(csv_bundle)
+    assert summary == csv_summary
+    for X, manifest in zip(matrices[1:], manifests[1:]):
+        scores, ld1, labels = score_matrix(bundle, X)
+        verdicts = predict_campaign(csv_bundle, manifest)
+        assert scores.shape == (len(verdicts), bundle.pca.n_components)
+        assert ld1.tobytes() == np.array([v.ld1 for v in verdicts]).tobytes()
+        assert labels.tolist() == [v.label for v in verdicts]
+
+
+def test_fit_matrix_takes_its_resample_length_from_the_matrix():
+    rng = np.random.default_rng(5)
+    X = np.vstack([rng.normal(size=(6, 16)), rng.normal(size=(6, 16)) + 3.0])
+    bundle, summary = fit_matrix(X, ["NoBurn"] * 6 + ["Burn"] * 6, "no-manifest")
+    assert bundle.resample_length == summary.n_samples_per_trace == 16
+    assert summary.n_observations == 12
+    assert bundle.training_fingerprint == "no-manifest"
+    with pytest.raises(ValueError):
+        fit_matrix(X, ["NoBurn"] * 6 + ["Burn"] * 6, "x", components=2, variance_target=0.9)
 
 
 def test_confusion_matrix_skips_unlabeled_rows():
