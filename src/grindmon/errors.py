@@ -43,6 +43,10 @@ class BadResampleLength(GrindmonError):
     """Resample length must be at least 2."""
 
 
+class UnscorableTrace(GrindmonError):
+    """A trace's powers are too large to resample and score without overflow."""
+
+
 class EmptyCampaign(GrindmonError):
     """A campaign manifest with no entries cannot be assembled."""
 

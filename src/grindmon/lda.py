@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -112,9 +113,10 @@ def fit_lda(
 
     Sw uses the pooled (n - 2) denominator and is regularized as
     Sw + ridge * (trace(Sw) / k) * I before inversion.  priors default to
-    the training class proportions; given ones must be positive and finite
-    and are scaled to sum to 1.  The threshold is the projected-mean
-    midpoint shifted by ln(p_noburn / p_burn) * s2_pooled / (mu_burn - mu_noburn).
+    the training class proportions; given ones must be a pair of positive,
+    finite real numbers and are scaled to sum to 1.  The threshold is the
+    projected-mean midpoint shifted by
+    ln(p_noburn / p_burn) * s2_pooled / (mu_burn - mu_noburn).
     """
     scores = np.asarray(scores, dtype=float)
     if scores.ndim == 1:
@@ -152,7 +154,7 @@ def fit_lda(
 
     if priors is None:
         priors = (len(noburn) / n, len(burn) / n)
-    p_n, p_b = (float(priors[0]), float(priors[1]))
+    p_n, p_b = _prior_pair(priors)
     if not (0 < p_n < math.inf and 0 < p_b < math.inf):
         raise ValueError("priors must be positive and finite")
     scale = 2.0 if p_n + p_b == math.inf else 1.0  # halving is exact and keeps the sum finite
@@ -175,6 +177,20 @@ def fit_lda(
     return model
 
 
+def _prior_pair(priors) -> tuple[float, float]:
+    """priors as two floats; ValueError unless they are a pair of real numbers."""
+    try:
+        p_n, p_b = priors
+    except (TypeError, ValueError):  # not iterable, or not two items
+        raise ValueError("priors must be a pair of real numbers") from None
+    if not all(isinstance(p, Real) and not isinstance(p, bool) for p in (p_n, p_b)):
+        raise ValueError("priors must be a pair of real numbers")
+    try:
+        return float(p_n), float(p_b)
+    except OverflowError:  # an integer beyond float range
+        raise ValueError("priors must be positive and finite") from None
+
+
 def _ld1(model: LdaModel, scores: np.ndarray):
     """ld1 of a float score array after its one component check."""
     direction = model.direction
@@ -191,14 +207,20 @@ def ld1_score(model: LdaModel, scores: np.ndarray):
 
 
 def classify(model: LdaModel, scores: np.ndarray):
-    """(ld1, labels) for one score vector or an n x k stack, labels shaped like ld1.
+    """(ld1, labels) for one score vector or an n x k stack.
 
-    The one decision rule: Burn exactly when ld1 >= threshold, so ties are Burn.
+    For one vector, ld1 is a Python float and the label a Python str; for a
+    stack, ld1 is a float array and the labels a str array of the same
+    shape.  The one decision rule: Burn exactly when ld1 >= threshold, so
+    ties are Burn.
     """
     scores = np.asarray(scores, dtype=float)
     if scores.ndim not in (1, 2):
         raise DimensionMismatch("classify takes a score vector or a stack of score rows")
     ld1 = _ld1(model, scores)
+    if scores.ndim == 1:  # one monitor step: compare as Python scalars, skip numpy boxing
+        ld1 = float(ld1)
+        return ld1, LABEL_BURN if ld1 >= model.threshold else LABEL_NOBURN
     return ld1, _LABELS.take(ld1 >= model.threshold)
 
 

@@ -5,7 +5,8 @@ drives a three-state machine Healthy -> Warning -> Burn through the pure
 `_step`.  States never move backward within a run: wear is irreversible for
 one wheel, and a fresh wheel gets a fresh MonitorState.  The machine advances
 at most one state per observation, so a Warning alert always lands before the
-state can escalate to Burn.
+state can escalate to Burn.  A trace whose largest |power| is beyond the
+bundle's trace_power_limit is rejected before scoring, which could overflow.
 
 A trained model ships as a single self-contained text document (canonical
 JSON: sorted keys, shortest round-trip floats), so save -> load -> save is
@@ -20,16 +21,18 @@ from __future__ import annotations
 import json
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import islice
 from operator import attrgetter, index
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import CorruptModel, SchemaError, VersionMismatch
 from .lda import LdaModel, classify
 from .pca import PcaModel, project
-from .traces import PowerTrace, _is_integer, resample
+from .traces import PowerTrace, _is_integer, _too_large, power_limit, resample
 
 FORMAT_VERSION = 1
 
@@ -104,14 +107,25 @@ class ModelBundle:
                 f"LDA direction has {self.lda.n_components} components but PCA"
                 f" keeps {self.pca.n_components}"
             )
+        if not np.abs(self.pca.mean).max() <= self.trace_power_limit:
+            raise CorruptModel(
+                f"PCA mean exceeds {self.trace_power_limit!r} in magnitude, so"
+                " scoring could overflow"
+            )
+
+    @cached_property
+    def trace_power_limit(self) -> float:
+        """power_limit(resample_length): the largest |power| a scored trace may hold."""
+        return power_limit(self.resample_length)
 
     def warning_limit(self) -> float:
         mu_n = self.lda.mu_noburn
         return mu_n + self.monitor_config.warning_fraction * (self.lda.threshold - mu_n)
 
 
-@dataclass(frozen=True)
-class MonitorEvent:
+class MonitorEvent(NamedTuple):
+    """One observation's outcome; a named tuple, so it also reads as a tuple."""
+
     unit_id: str
     ld1: float
     label: str
@@ -247,31 +261,22 @@ def observe(
 ) -> tuple[MonitorEvent, MonitorState]:
     """Score one trace and advance the health state machine by `_step`.
 
-    Observations after Burn are accepted but flagged post-failure.
+    Observations after Burn are accepted but flagged post-failure.  A trace
+    whose max_abs_power exceeds the bundle's trace_power_limit raises
+    UnscorableTrace, with one comparison; that limit keeps LD1 finite for a
+    validated bundle, as fit_matrix and load_model return.
     """
-    scores = project(bundle.pca, resample(trace, bundle.resample_length))
-    ld1, label = classify(bundle.lda, scores)
-    ld1, label = float(ld1), str(label)
+    limit = bundle.trace_power_limit
+    if not trace.max_abs_power <= limit:
+        raise _too_large(trace, limit)
+    lda = bundle.lda
+    ld1, label = classify(lda, project(bundle.pca, resample(trace, bundle.resample_length)))
     prev = state.state
-    new_state_name, counter = _step(
-        state, ld1, bundle.lda.threshold, bundle.monitor_config.hold_count
-    )
-    event = MonitorEvent(
-        unit_id=trace.unit_id,
-        ld1=ld1,
-        label=label,
-        prev_state=prev,
-        state=new_state_name,
-        alert=new_state_name != prev,
-        post_failure=prev == BURN,
-    )
-    new_state = MonitorState(
-        state=new_state_name,
-        warning_limit=state.warning_limit,
-        consecutive_above=counter,
-        history=state.history.appended((trace.unit_id, ld1, label, new_state_name)),
-    )
-    return event, new_state
+    name, counter = _step(state, ld1, lda.threshold, bundle.monitor_config.hold_count)
+    unit_id = trace.unit_id
+    event = MonitorEvent(unit_id, ld1, label, prev, name, name != prev, prev == BURN)
+    history = state.history.appended((unit_id, ld1, label, name))
+    return event, MonitorState(name, state.warning_limit, counter, history)
 
 
 def format_event(event: MonitorEvent) -> str:

@@ -12,7 +12,9 @@ import csv
 import functools
 import hashlib
 import io
+import math
 import operator
+import sys
 from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
@@ -30,6 +32,7 @@ from .errors import (
     NonMonotoneTime,
     NonNumericField,
     TooFewSamples,
+    UnscorableTrace,
 )
 
 TRACE_HEADER = "time_s,power_kw"
@@ -76,7 +79,10 @@ class PowerTrace:
     """One unit's power-vs-time series plus provenance metadata.
 
     times are seconds, strictly increasing; powers are kilowatts, all finite;
-    parts_ground counts units cut by this wheel before this one.
+    parts_ground counts units cut by this wheel before this one.  Each power
+    step over its time step, and the time span, must be finite too, so every
+    value `resample` gives lies, up to rounding, between two neighbouring
+    powers: within max_abs_power, the largest |power|.
     """
 
     unit_id: str
@@ -85,6 +91,7 @@ class PowerTrace:
     burn_rank: int | None
     times: np.ndarray
     powers: np.ndarray
+    max_abs_power: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
@@ -95,11 +102,20 @@ class PowerTrace:
             raise ValueError("times and powers must be 1-d arrays of equal length")
         if times.size < 2:
             raise TooFewSamples("a trace needs at least 2 samples")
-        # compared, not subtracted: inf - inf would warn before the finiteness check
         if not (times[1:] > times[:-1]).all():
             raise ValueError("times must be strictly increasing")
-        if not (np.isfinite(times).all() and np.isfinite(powers).all()):
-            raise ValueError("times and powers must be finite")
+        # np.interp takes these slopes and warns of no overflow.  With times
+        # increasing, they and the span are finite exactly when every value is
+        # and no step of opposite huge powers or subnormal time step overflows.
+        with np.errstate(over="ignore", invalid="ignore"):
+            slopes = (powers[1:] - powers[:-1]) / (times[1:] - times[:-1])
+            span = times[-1] - times[0]
+        if not (np.isfinite(slopes).all() and np.isfinite(span)):
+            if not (np.isfinite(times).all() and np.isfinite(powers).all()):
+                raise ValueError("times and powers must be finite")
+            raise ValueError("each power step over its time step, and the time span,"
+                             " must be finite")
+        object.__setattr__(self, "max_abs_power", float(np.abs(powers).max()))
         _check_metadata(self.parts_ground, self.burn_rank,
                         unit_id=self.unit_id, wheel_id=self.wheel_id)
 
@@ -226,8 +242,10 @@ def parse_trace_csv(
     Accepts LF or CRLF line endings and a `.` decimal separator only.  Each
     field is whatever Python's `float()` accepts, surrounding whitespace
     included (so `1_0`, `+1` and `1e5` parse; `0x10`, `1.0d0` and an empty
-    field do not).  Rejects non-numeric fields, non-finite values and
-    non-monotone time; row numbers in errors are 1-based over data rows.
+    field do not).  Rejects non-numeric fields, non-finite values,
+    non-monotone time, and a row whose power step over its time step, or
+    whose time span from the first row, is not finite; row numbers in errors
+    are 1-based over data rows.
 
     The data rows are split into fields once, with one `str.split` over
     their join; when every row holds exactly one comma, the two columns are
@@ -281,6 +299,10 @@ def parse_trace_csv(
             raise InvalidValue(row)
         if times and t <= times[-1]:
             raise NonMonotoneTime(row)
+        if times and not math.isfinite((p - powers[-1]) / (t - times[-1])):
+            raise InvalidValue(row, f"data row {row}: power step over time step is not finite")
+        if times and not math.isfinite(t - times[0]):
+            raise InvalidValue(row, f"data row {row}: time span from the first row is not finite")
         times.append(t)
         powers.append(p)
 
@@ -305,6 +327,27 @@ def serialize_trace_csv(trace: PowerTrace, *, _time_fields: list[str] | None = N
         _time_fields = _format_column(trace.times)
     rows = map(",".join, zip(_time_fields, _format_column(trace.powers)))
     return TRACE_HEADER + "\n" + "\n".join(rows) + "\n"
+
+
+def power_limit(length: int) -> float:
+    """Largest |power| of a trace that is resampled to `length` points and scored.
+
+    A resampled trace x stays within its max_abs_power, up to rounding.
+    When that and every |entry| of a model's mean m stay within this limit,
+    ||x - m||_2 is at most half the largest float.  With orthonormal
+    loadings and a unit-norm direction, each PCA score, LD1 and every
+    partial sum of either product are at most ||x - m||_2, so scoring
+    cannot overflow.
+    """
+    return sys.float_info.max / (4.0 * math.sqrt(length))
+
+
+def _too_large(trace: PowerTrace, limit: float) -> UnscorableTrace:
+    """The error for a trace whose max_abs_power exceeds `limit`."""
+    return UnscorableTrace(
+        f"trace {trace.unit_id!r}: largest |power| {trace.max_abs_power!r} kW exceeds"
+        f" {limit!r} kW, the most it can hold to be scored without overflow"
+    )
 
 
 def _check_length(length) -> None:
@@ -443,14 +486,20 @@ def build_matrix(manifest: CampaignManifest, length: int = DEFAULT_RESAMPLE_LENG
     Every trace goes through load_trace and parse_trace_csv.  A time column
     that repeats the previous trace's, field for field, is converted once
     and shared read-only for the rest of this call; nothing is kept between
-    calls, and every trace is still checked in full.
+    calls, and every trace is still checked in full.  A trace whose largest
+    |power| exceeds power_limit(length) raises a CampaignFileError naming
+    its file.
     """
     _check_length(length)
     if not manifest.entries:
         raise EmptyCampaign("manifest has no entries")
     rows = np.empty((len(manifest.entries), length))
     column = _TimeColumn()
+    limit = power_limit(length)
     for i, entry in enumerate(manifest.entries):
-        trace = load_trace(manifest.base_dir / entry.trace_file, entry, _column=column)
+        path = manifest.base_dir / entry.trace_file
+        trace = load_trace(path, entry, _column=column)
+        if not trace.max_abs_power <= limit:
+            raise CampaignFileError(path, _too_large(trace, limit))
         rows[i] = resample(trace, length)
     return TraceMatrix(values=rows, meta=manifest.entries, resample_length=length)

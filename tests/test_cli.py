@@ -403,6 +403,7 @@ def assert_clean_exit(result):
 @settings(max_examples=60, deadline=None)
 @given(data=fuzz_bytes(TRACE_SEED, TRACE_TOKENS))
 @example(data=TRACE_SEED)
+@example(data=TRACE_SEED.replace(b"0.0,1.0", b"0.0,1e308"))  # an infinite slope
 def test_monitor_fuzzed_trace_bytes_exit_cleanly(work, data):
     trace = work / "fuzz-trace.csv"
     trace.write_bytes(data)

@@ -85,17 +85,24 @@ def test_ld1_score_basics():
 
 def test_classify_threshold_rule():
     model = fit_lda(np.array([0.0, 1.0, 4.0, 5.0]), [N, N, B, B], priors=(0.5, 0.5))
+    t = model.threshold
+    assert t == 2.5
     ld1, label = classify(model, np.array([2.5 - 1e-9]))
-    assert label == N and ld1 - model.threshold < 0
+    assert label == N and ld1 - t < 0
     ld1, label = classify(model, np.array([2.5]))
-    assert label == B and ld1 - model.threshold == 0.0
-    # a stack gives one (ld1, label) per row, each as the single-vector call does
-    stack = np.array([[2.5 - 1e-9], [2.5], [-3.0], [9.0]])
+    assert label == B and ld1 - t == 0.0  # a tie is Burn
+    # just below, at and above the threshold, then far from it
+    values = [np.nextafter(t, -np.inf), t, np.nextafter(t, np.inf), -3.0, 9.0]
+    stack = np.array(values)[:, None]
     ld1, labels = classify(model, stack)
-    assert ld1.shape == labels.shape == (4,)
-    assert labels.tolist() == [N, B, N, B]
+    assert ld1.shape == labels.shape == (5,)
+    assert ld1.tolist() == values
+    assert labels.tolist() == [N, B, B, N, B]
+    # one vector gives a Python float and str, bit-equal to its row of the stack
     for row, v, label in zip(stack, ld1, labels):
-        assert classify(model, row) == (v, label)
+        one_ld1, one_label = classify(model, row)
+        assert type(one_ld1) is float and type(one_label) is str
+        assert np.float64(one_ld1).tobytes() == v.tobytes() and one_label == label
     with pytest.raises(DimensionMismatch):
         classify(model, np.zeros((4, 2)))
     with pytest.raises(DimensionMismatch):
@@ -170,6 +177,20 @@ def test_any_float_priors_normalise_or_raise_value_error(priors):
     p_n, p_b = model.priors
     assert 0 < p_n < 1 and 0 < p_b < 1 and abs(p_n + p_b - 1) <= 1e-9
     assert math.isfinite(model.threshold)
+
+
+@pytest.mark.parametrize("priors", [
+    (10**400, 1), (1,), (1, 2, 3), (), 0.5, ("0.5", "0.5"), (True, 1), (0.5, None),
+])
+def test_priors_must_be_a_pair_of_real_numbers(priors):
+    with pytest.raises(ValueError, match="priors"):
+        fit_lda(np.array([0.0, 1.0, 4.0, 5.0]), [N, N, B, B], priors=priors)
+
+
+def test_priors_take_any_pair_of_real_numbers():
+    scores, labels = np.array([0.0, 1.0, 4.0, 5.0]), [N, N, B, B]
+    for priors in [(1, 3), (np.float32(1.0), np.int64(3)), [0.25, 0.75], iter((1, 3))]:
+        assert fit_lda(scores, labels, priors=priors).priors == (0.25, 0.75)
 
 
 def test_default_priors_are_training_proportions():

@@ -1,3 +1,4 @@
+import math
 import tempfile
 from pathlib import Path
 
@@ -89,7 +90,10 @@ def test_parse_rejects_single_sample():
 
 
 def row_loop_parse(text):
-    """The row-by-row parser as it stood before the vectorized fast path."""
+    """The row-by-row parser as it stood before the vectorized fast path.
+
+    It has since gained the rejection of an infinite slope or time span.
+    """
     lines = text.splitlines()
     while lines and not lines[-1].strip():
         lines.pop()
@@ -112,6 +116,10 @@ def row_loop_parse(text):
             raise InvalidValue(row)
         if times and t <= times[-1]:
             raise NonMonotoneTime(row)
+        if times and not math.isfinite((p - powers[-1]) / (t - times[-1])):
+            raise InvalidValue(row, f"data row {row}: power step over time step is not finite")
+        if times and not math.isfinite(t - times[0]):
+            raise InvalidValue(row, f"data row {row}: time span from the first row is not finite")
         times.append(t)
         powers.append(p)
 
@@ -340,7 +348,8 @@ def test_resample_grid_is_bit_equal_to_linspace(scale, offset, span, length):
 def test_resample_output_is_bit_equal_to_the_linspace_formula(scale, offset, gaps, powers, length):
     times = scale * (offset + np.cumsum([0, *gaps]))
     assume(np.all(np.diff(times) > 0))
-    trace = make_trace(times, powers[: times.size])
+    # powers scaled with the times keep every slope finite, as a trace requires
+    trace = make_trace(times, scale * np.array(powers[: times.size]))
     assert resample(trace, length).tobytes() == linspace_resample(trace, length).tobytes()
 
 
@@ -537,17 +546,29 @@ def test_build_matrix_is_bit_equal_to_row_loop_parse_and_resample(data, base, le
     base = [repr(t) for t in sorted(base)]
     columns = data.draw(st.lists(time_columns(base), min_size=1, max_size=6))
     with tempfile.TemporaryDirectory() as tmp:
-        entries, expected = [], []
+        entries, expected, failure = [], [], None
         for i, fields in enumerate(columns):
             powers = data.draw(st.lists(st.floats(-1e6, 1e6), min_size=len(fields),
                                         max_size=len(fields)))
             rows = [f"{t},{p!r}" for t, p in zip(fields, powers)]
             text = "\n".join([TRACE_HEADER, *rows]) + "\n"
-            (Path(tmp) / f"u{i}.csv").write_text(text, encoding="utf-8")
+            path = Path(tmp) / f"u{i}.csv"
+            path.write_text(text, encoding="utf-8")
             entries.append(ManifestEntry(f"u{i}.csv", f"u{i}", "w", i, 1))
-            expected.append(resample(row_loop_parse(text), length))
-        matrix = build_matrix(CampaignManifest(tuple(entries), base_dir=tmp), length)
-    assert matrix.values.tobytes() == np.array(expected).tobytes()
+            try:
+                expected.append(resample(row_loop_parse(text), length))
+            except InvalidValue as exc:  # a subnormal time step: an infinite slope
+                failure = failure or (str(path), exc.row, str(exc))
+        manifest = CampaignManifest(tuple(entries), base_dir=tmp)
+        if failure is None:
+            matrix = build_matrix(manifest, length)
+            assert matrix.values.tobytes() == np.array(expected).tobytes()
+        else:  # build_matrix stops at the first trace the row loop rejects, naming it
+            with pytest.raises(CampaignFileError) as err:
+                build_matrix(manifest, length)
+            cause = err.value.cause
+            assert type(cause) is InvalidValue
+            assert (err.value.path, cause.row, str(cause)) == failure
 
 
 def test_build_matrix_shares_a_read_only_time_array(tmp_path, monkeypatch):
