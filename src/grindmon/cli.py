@@ -7,10 +7,7 @@ state Burn.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
-import functools
-import io
 import sys
 from pathlib import Path
 
@@ -36,7 +33,7 @@ from .pipeline import (
     report_to_csv,
 )
 from .simulate import PRESETS, generate_campaign, make_preset
-from .traces import DEFAULT_RESAMPLE_LENGTH, load_manifest, load_trace
+from .traces import DEFAULT_RESAMPLE_LENGTH, _csv_text, load_manifest, load_trace
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -44,16 +41,33 @@ EXIT_WARNING = 3
 EXIT_BURN = 4
 
 
-def _exit_2_on_bad_input(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
+class _Commands(click.Group):
+    """Commands whose bad input prints `error: ...` and calls sys.exit(EXIT_INPUT).
+
+    click's own usage errors stay click's.
+    """
+
+    def invoke(self, ctx):
         try:
-            return fn(*args, **kwargs)
+            return super().invoke(ctx)
         except (GrindmonError, OSError, ValueError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(EXIT_INPUT)
 
-    return wrapper
+
+_model_option = click.option("--model", "model_path", required=True,
+                             type=click.Path(exists=True, dir_okay=False))
+_manifest_option = click.option("--manifest", "manifest_path", required=True,
+                                type=click.Path(exists=True, dir_okay=False))
+
+
+def _write_table(text: str, out_path, what: str) -> None:
+    """A CSV table to stdout, or to out_path with a note on stdout naming `what`."""
+    if out_path is None:
+        click.echo(text, nl=False)
+    else:
+        Path(out_path).write_text(text, encoding="utf-8")
+        click.echo(f"{what} written to {out_path}")
 
 
 def _parse_priors(text: str) -> tuple[float, float] | None:
@@ -70,7 +84,7 @@ def _parse_priors(text: str) -> tuple[float, float] | None:
     return (float(parts[0]), float(parts[1]))
 
 
-@click.group()
+@click.group(cls=_Commands)
 def main():
     """Grinding-burn detection from spindle power traces."""
 
@@ -81,7 +95,6 @@ def main():
 @click.option("--out", "out_dir", required=True,
               type=click.Path(file_okay=False), help="Campaign output directory.")
 @click.option("--seed", default=42, show_default=True, type=int)
-@_exit_2_on_bad_input
 def simulate(preset_name: str, out_dir: str, seed: int):
     """Generate a synthetic campaign: trace CSVs plus manifests."""
     preset = make_preset(preset_name, seed)
@@ -97,8 +110,7 @@ def simulate(preset_name: str, out_dir: str, seed: int):
 
 
 @main.command()
-@click.option("--manifest", "manifest_path", required=True,
-              type=click.Path(exists=True, dir_okay=False))
+@_manifest_option
 @click.option("--model", "model_path", required=True,
               type=click.Path(dir_okay=False), help="Output model file.")
 @click.option("--resample-length", default=DEFAULT_RESAMPLE_LENGTH, show_default=True, type=int)
@@ -112,7 +124,6 @@ def simulate(preset_name: str, out_dir: str, seed: int):
 @click.option("--warning-fraction", default=MonitorConfig.warning_fraction, show_default=True,
               type=float)
 @click.option("--hold-count", default=MonitorConfig.hold_count, show_default=True, type=int)
-@_exit_2_on_bad_input
 def fit(manifest_path, model_path, resample_length, components, variance_target,
         priors, ridge, warning_fraction, hold_count):
     """Fit the burn classifier on a fully labeled campaign."""
@@ -143,13 +154,10 @@ def fit(manifest_path, model_path, resample_length, components, variance_target,
 
 def _predictions_csv(manifest, verdicts) -> str:
     """One CSV row per unit; an id holding a comma or a quote is quoted."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["unit_id", "wheel_id", "parts_ground", "ld1", "predicted", "label"])
-    for entry, verdict in zip(manifest.entries, verdicts):
-        writer.writerow([entry.unit_id, entry.wheel_id, entry.parts_ground,
-                         repr(verdict.ld1), verdict.label, entry.label or ""])
-    return buf.getvalue()
+    return _csv_text(
+        ["unit_id", "wheel_id", "parts_ground", "ld1", "predicted", "label"],
+        ((e.unit_id, e.wheel_id, e.parts_ground, v.ld1, v.label, e.label)
+         for e, v in zip(manifest.entries, verdicts)))
 
 
 def _echo_confusion(counts) -> None:
@@ -161,34 +169,24 @@ def _echo_confusion(counts) -> None:
 
 
 @main.command()
-@click.option("--model", "model_path", required=True,
-              type=click.Path(exists=True, dir_okay=False))
-@click.option("--manifest", "manifest_path", required=True,
-              type=click.Path(exists=True, dir_okay=False))
+@_model_option
+@_manifest_option
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None,
               help="Write the predictions table here instead of stdout.")
-@_exit_2_on_bad_input
 def predict(model_path, manifest_path, out_path):
     """Classify every unit in a campaign against a fitted model."""
     bundle = load_model(model_path)
     manifest = load_manifest(manifest_path)
     verdicts = predict_campaign(bundle, manifest)
-    table = _predictions_csv(manifest, verdicts)
-    if out_path is None:
-        click.echo(table, nl=False)
-    else:
-        Path(out_path).write_text(table, encoding="utf-8")
-        click.echo(f"predictions written to {out_path}")
+    _write_table(_predictions_csv(manifest, verdicts), out_path, "predictions")
     counts = confusion_matrix(verdicts, manifest.labels())
     if counts is not None:
         _echo_confusion(counts)
 
 
 @main.command()
-@click.option("--model", "model_path", required=True,
-              type=click.Path(exists=True, dir_okay=False))
+@_model_option
 @click.argument("traces", nargs=-1, type=click.Path(dir_okay=False))
-@_exit_2_on_bad_input
 def monitor(model_path, traces):
     """Stream traces through the three-state health monitor.
 
@@ -214,25 +212,17 @@ def monitor(model_path, traces):
 
 
 @main.command()
-@click.option("--model", "model_path", required=True,
-              type=click.Path(exists=True, dir_okay=False))
-@click.option("--manifest", "manifest_path", required=True,
-              type=click.Path(exists=True, dir_okay=False))
+@_model_option
+@_manifest_option
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None,
               help="Write the score table here instead of stdout.")
-@_exit_2_on_bad_input
 def report(model_path, manifest_path, out_path):
     """Tabulate PC scores and LD1 per unit, flagging the wear axis."""
     bundle = load_model(model_path)
     manifest = load_manifest(manifest_path)
     rep = build_report(bundle, manifest)
-    csv_text = report_to_csv(rep)
+    _write_table(report_to_csv(rep), out_path, "score table")
     to_stderr = out_path is None  # keep stdout a clean CSV
-    if out_path is None:
-        click.echo(csv_text, nl=False)
-    else:
-        Path(out_path).write_text(csv_text, encoding="utf-8")
-        click.echo(f"score table written to {out_path}")
     for j in range(rep.n_components):
         click.echo(f"pc_{j + 1} |spearman vs order| = {rep.pc_spearman[j]:.4f}",
                    err=to_stderr)

@@ -20,7 +20,7 @@ from .errors import (
     SingularWithinScatter,
     ZeroDirection,
 )
-from .traces import LABEL_BURN, LABEL_NOBURN
+from .traces import LABEL_BURN, LABEL_NOBURN, _read_only
 
 DEFAULT_RIDGE = 1e-8
 _LABELS = np.array([LABEL_NOBURN, LABEL_BURN])  # indexed by ld1 >= threshold
@@ -31,7 +31,9 @@ class LdaModel:
     """Unit-norm discriminant direction in score space plus the decision rule.
 
     class_means_ld is (mu_noburn, mu_burn) on LD1 with mu_burn > mu_noburn;
-    scores at or above threshold classify as Burn.
+    scores at or above threshold classify as Burn.  A model runs validate()
+    when made and holds a read-only direction, so it stays valid while it
+    exists.
     """
 
     direction: np.ndarray
@@ -41,9 +43,10 @@ class LdaModel:
     ridge: float
 
     def __post_init__(self):
-        object.__setattr__(self, "direction", np.asarray(self.direction, dtype=float))
+        object.__setattr__(self, "direction", _read_only(self.direction))
         object.__setattr__(self, "class_means_ld", tuple(float(m) for m in self.class_means_ld))
         object.__setattr__(self, "priors", tuple(float(p) for p in self.priors))
+        self.validate()
 
     @property
     def n_components(self) -> int:
@@ -58,6 +61,11 @@ class LdaModel:
         return self.class_means_ld[1]
 
     def validate(self) -> None:
+        if len(self.class_means_ld) != 2 or len(self.priors) != 2:
+            raise ValueError("class_means_ld and priors must each hold 2 values")
+        for name in ("direction", "class_means_ld", "threshold", "ridge"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
         if abs(float(np.linalg.norm(self.direction)) - 1.0) > 1e-12:
             raise ValueError("direction must have unit norm")
         if not self.mu_burn > self.mu_noburn:
@@ -166,15 +174,13 @@ def fit_lda(
     s2_pooled = _pooled_variance(noburn @ direction, burn @ direction)
     threshold = 0.5 * (mu_n_ld + mu_b_ld) + math.log(p_n / p_b) * s2_pooled / (mu_b_ld - mu_n_ld)
 
-    model = LdaModel(
+    return LdaModel(
         direction=direction,
         class_means_ld=(mu_n_ld, mu_b_ld),
         threshold=float(threshold),
         priors=(p_n, p_b),
         ridge=float(ridge),
     )
-    model.validate()
-    return model
 
 
 def _prior_pair(priors) -> tuple[float, float]:

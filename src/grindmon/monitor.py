@@ -86,7 +86,11 @@ class MonitorConfig:
 
 @dataclass(frozen=True)
 class ModelBundle:
-    """Everything a deployed monitor needs: alignment length, PCA, LDA, limits."""
+    """Everything a deployed monitor needs: alignment length, PCA, LDA, limits.
+
+    When made, a bundle checks that its parts, each checked when it was
+    made, fit together.
+    """
 
     resample_length: int
     pca: PcaModel
@@ -94,9 +98,10 @@ class ModelBundle:
     monitor_config: MonitorConfig
     training_fingerprint: str
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self) -> None:
-        self.pca.validate()
-        self.lda.validate()
         if self.pca.n_variables != self.resample_length:
             raise CorruptModel(
                 f"PCA has {self.pca.n_variables} variables but resample_length"
@@ -263,8 +268,8 @@ def observe(
 
     Observations after Burn are accepted but flagged post-failure.  A trace
     whose max_abs_power exceeds the bundle's trace_power_limit raises
-    UnscorableTrace, with one comparison; that limit keeps LD1 finite for a
-    validated bundle, as fit_matrix and load_model return.
+    UnscorableTrace, with one comparison; that limit keeps LD1 finite for
+    any bundle, since a bundle checks itself when made.
     """
     limit = bundle.trace_power_limit
     if not trace.max_abs_power <= limit:
@@ -296,7 +301,6 @@ def format_event(event: MonitorEvent) -> str:
 
 def model_to_json(bundle: ModelBundle) -> str:
     """Canonical text form: fixed field set, sorted keys, shortest floats."""
-    bundle.validate()
     doc = {}
     for name, (kind, place) in _FIELDS.items():
         value = FORMAT_VERSION if place is None else attrgetter(place)(bundle)
@@ -386,14 +390,12 @@ def load_model(source) -> ModelBundle:
         if place is not None:
             owner, _, attr = place.rpartition(".")
             parts[owner][attr] = value
-    try:
-        bundle = ModelBundle(
+    try:  # each constructor checks its own part; a bad config is named first
+        return ModelBundle(
+            monitor_config=MonitorConfig(**parts["monitor_config"]),
             pca=PcaModel(**parts["pca"], n_train=None, explained_variance_ratio=None),
             lda=LdaModel(**parts["lda"]),
-            monitor_config=MonitorConfig(**parts["monitor_config"]),
             **parts[""],
         )
-        bundle.validate()
     except (ValueError, CorruptModel) as exc:
         raise CorruptModel(f"model file is internally inconsistent: {exc}") from None
-    return bundle

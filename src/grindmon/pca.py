@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadComponentCount, DimensionMismatch, InsufficientObservations
+from .traces import _read_only
 
 ORTHONORMALITY_TOL = 1e-9
 
@@ -24,7 +25,8 @@ class PcaModel:
 
     explained_variance_ratio and n_train describe the fit and are None on
     models rebuilt from a persisted file, which stores only what projection
-    needs.
+    needs.  A model runs validate() when made and holds its arrays
+    read-only, so it stays valid while it exists.
     """
 
     mean: np.ndarray
@@ -34,14 +36,10 @@ class PcaModel:
     explained_variance_ratio: np.ndarray | None
 
     def __post_init__(self):
-        object.__setattr__(self, "mean", np.asarray(self.mean, dtype=float))
-        object.__setattr__(self, "loadings", np.asarray(self.loadings, dtype=float))
-        object.__setattr__(self, "singular_values", np.asarray(self.singular_values, dtype=float))
-        if self.explained_variance_ratio is not None:
-            object.__setattr__(
-                self, "explained_variance_ratio",
-                np.asarray(self.explained_variance_ratio, dtype=float),
-            )
+        for name in ("mean", "loadings", "singular_values", "explained_variance_ratio"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _read_only(getattr(self, name)))
+        self.validate()
 
     @property
     def n_variables(self) -> int:
@@ -52,6 +50,9 @@ class PcaModel:
         return int(self.loadings.shape[1])
 
     def validate(self) -> None:
+        for name in ("mean", "loadings", "singular_values"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
         L, k = self.loadings.shape
         if self.mean.shape != (L,):
             raise ValueError("mean length must match the loadings rows")
@@ -124,16 +125,13 @@ def fit_pca(X, k: int | float) -> PcaModel:
         n_keep = int(reached[0]) + 1 if reached.size else k_max
         n_keep = min(n_keep, k_max)
 
-    loadings = _apply_sign_convention(vt[:n_keep].T)
-    model = PcaModel(
+    return PcaModel(
         mean=mean,
-        loadings=loadings,
-        singular_values=s[:n_keep].copy(),
+        loadings=_apply_sign_convention(vt[:n_keep].T),
+        singular_values=s[:n_keep],
         n_train=n,
-        explained_variance_ratio=ratios[:n_keep].copy(),
+        explained_variance_ratio=ratios[:n_keep],
     )
-    model.validate()
-    return model
 
 
 def project(model: PcaModel, x: np.ndarray) -> np.ndarray:
@@ -164,7 +162,7 @@ def truncate(model: PcaModel, k: int) -> PcaModel:
     return PcaModel(
         mean=model.mean,
         loadings=model.loadings[:, :k].copy(),
-        singular_values=model.singular_values[:k].copy(),
+        singular_values=model.singular_values[:k],
         n_train=model.n_train,
-        explained_variance_ratio=None if evr is None else evr[:k].copy(),
+        explained_variance_ratio=None if evr is None else evr[:k],
     )

@@ -7,8 +7,9 @@ build_matrix and call them.  build_report adds wear-trend diagnostics.
 
 from __future__ import annotations
 
-import csv
-import io
+import dataclasses
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,7 @@ from .traces import (
     LABEL_BURN,
     LABEL_NOBURN,
     CampaignManifest,
+    _csv_text,
     build_matrix,
 )
 
@@ -40,6 +42,24 @@ class FitSummary:
     warning_limit: float
 
 
+def _overflow_shift(X: np.ndarray) -> int:
+    """k such that a fit on X * 2**-k cannot overflow; 0 while max|X| <= B.
+
+    With every |entry| at most B = sqrt(max_float / (4 n L)), a column sum is
+    at most n B, and each centred entry at most 2 B, so the sum of the
+    squared singular values, ||X - mean||_F**2, is at most n L (2 B)**2 =
+    max_float; the scatter sums of the scores are bounded by the same
+    norm.  Past B, X * 2**-k holds entries below 1.
+    """
+    if X.ndim != 2 or not X.size:
+        return 0
+    n, L = X.shape
+    largest = max(float(X.max()), -float(X.min()))
+    if not largest > math.sqrt(sys.float_info.max / (4 * n * L)):
+        return 0
+    return math.frexp(largest)[1]
+
+
 def fit_matrix(
     X,
     labels,
@@ -56,10 +76,17 @@ def fit_matrix(
     `components` when given, else the smallest count reaching
     `variance_target` (default 0.95) cumulative variance, capped at n - 2 so
     the two-class scatter stays estimable.  Reads no files.
+
+    A matrix too large to fit without overflow is fitted as X * 2**-k; the
+    mean, singular values, LD1 class means and threshold are then scaled
+    back by 2**k, exactly.  Data of ordinary size has k = 0.
     """
     if components is not None and variance_target is not None:
         raise ValueError("pass components or variance_target, not both")
     labels = list(labels)
+    X = np.asarray(X, dtype=float)
+    shift = _overflow_shift(X)
+    X = np.ldexp(X, -shift) if shift else X
     if components is not None:
         pca = fit_pca(X, int(components))
     else:
@@ -68,9 +95,13 @@ def fit_matrix(
         pca = truncate(pca, min(pca.n_components, max(1, pca.n_train - 2)))
 
     lda = fit_lda(project(pca, X), labels, priors=priors, ridge=ridge)
+    if shift:
+        pca = dataclasses.replace(pca, mean=np.ldexp(pca.mean, shift),
+                                  singular_values=np.ldexp(pca.singular_values, shift))
+        lda = dataclasses.replace(lda, class_means_ld=np.ldexp(lda.class_means_ld, shift),
+                                  threshold=math.ldexp(lda.threshold, shift))
     bundle = ModelBundle(resample_length=pca.n_variables, pca=pca, lda=lda,
                          monitor_config=monitor_config, training_fingerprint=training_fingerprint)
-    bundle.validate()
     summary = FitSummary(
         n_observations=pca.n_train,
         n_samples_per_trace=pca.n_variables,
@@ -198,28 +229,13 @@ def report_to_csv(report: ScoreReport) -> str:
 
     An id holding a comma or a quote is quoted, as the csv module reads it.
     """
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    pc_cols = [f"pc_{j + 1}" for j in range(report.n_components)]
-    writer.writerow(
-        ["obs_index", "unit_id", "wheel_id", "parts_ground", "label", "predicted"]
-        + pc_cols
-        + ["ld1", "threshold", "warning_limit"]
-    )
-    for i in range(len(report.unit_ids)):
-        row = [
-            str(i + 1),
-            report.unit_ids[i],
-            report.wheel_ids[i],
-            str(report.parts_ground[i]),
-            report.labels[i] or "",
-            report.predicted[i],
-        ]
-        row += [repr(float(v)) for v in report.scores[i]]
-        row += [
-            repr(float(report.ld1[i])),
-            repr(float(report.threshold)),
-            repr(float(report.warning_limit)),
-        ]
-        writer.writerow(row)
-    return buf.getvalue()
+    header = ["obs_index", "unit_id", "wheel_id", "parts_ground", "label", "predicted",
+              *(f"pc_{j + 1}" for j in range(report.n_components)),
+              "ld1", "threshold", "warning_limit"]
+    limits = (float(report.threshold), float(report.warning_limit))
+    columns = (report.unit_ids, report.wheel_ids, report.parts_ground, report.labels,
+               report.predicted, report.scores.tolist(), report.ld1.tolist())
+    return _csv_text(header, (
+        (i, unit, wheel, parts, label, predicted, *pcs, ld1, *limits)
+        for i, (unit, wheel, parts, label, predicted, pcs, ld1)
+        in enumerate(zip(*columns), start=1)))

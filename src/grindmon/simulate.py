@@ -3,26 +3,25 @@
 Every trace has one shape, set by module constants: TRACE_LENGTH_S of power
 sampled every SAMPLE_PERIOD_S, a flat BASELINE_KW, and N_CUTS raised-cosine
 bumps of half width BUMP_HALF_WIDTH_FRACTION of the cut spacing.  The bump
-peak is PEAK_KW_NEW * (1 + WEAR_GAIN * min(parts / WEAR_CAPACITY_PARTS,
-WEAR_RATIO_CAP)) at a cumulative wear of parts, and NOISE_KW scales additive
-Gaussian noise.  Sample times and the cut profile are computed once at import
-and shared read-only by every trace.  Randomness is counter based: every
-trace is keyed on (seed, wheel, parts, unit), so regeneration is
-reproducible file-for-file on any platform.
+peak is PEAK_KW_NEW * (1 + WEAR_GAIN * min(wear / WEAR_CAPACITY_PARTS,
+WEAR_RATIO_CAP)) at the effective wear of `mean_power_kw`, and NOISE_KW
+scales additive Gaussian noise.  Sample times and the cut profile are
+computed once at import and shared read-only by every trace.  Randomness
+is counter based: every trace is keyed on (seed, wheel, parts, unit), so
+regeneration is reproducible file-for-file on any platform.
 
 The bundled presets mirror the three-wheel experiment layout this package
 is tested against: five checkpoint batches per wheel with burning starting
 late in life.  Wheel 3's onset is not documented in the source campaign
 records; the presets place it at 1400 parts.
 
-Known defect: power follows the shared WEAR_CAPACITY_PARTS (1400) and no
-wheel field shapes it, so a wheel's traces do not reflect its own
-burn_onset_parts.  A dense replay (one trace per part, 0..1999) against a
-wheel-1 model enters Burn at 1229-1232 parts on every default wheel, before
-wheel 3's labeled onset of 1400; the preset checkpoints jump past that
-region, which is why the monitor's lifetime gate still passes.  Fixing it
-changes the simulated data, so it waits for a change that may move the
-frozen campaign.
+Each wheel's power tracks its own burn onset.  Every wheel wears alike up
+to KNEE parts; past it, a wheel's effective wear is stretched so that it
+reaches the REF_ONSET level at its own burn_onset_parts.  The knee sits at
+1125 because a wheel-1 model warns at an effective wear of about 1120, and
+wheel 2 (onset 1300) is last recorded before its onset at 1125 parts: with
+the knee below about 1120, wheel 2 wears too slowly to warn by then, and no
+warning precedes its onset.
 """
 
 from __future__ import annotations
@@ -48,6 +47,8 @@ BASELINE_KW = 0.5       # spindle power between cuts
 PEAK_KW_NEW = 2.0       # cut-engagement peak of a new wheel
 WEAR_GAIN = 0.5         # relative peak growth over one nominal life
 WEAR_CAPACITY_PARTS = 1400  # nominal life, shared by every wheel
+KNEE = 1125             # parts up to which every wheel wears alike
+REF_ONSET = 1200        # a wheel's effective wear at its own burn onset
 WEAR_RATIO_CAP = 1.5    # amplitude growth saturates past 1.5x nominal life
 NOISE_KW = 0.02         # standard deviation of the additive noise
 N_CUTS = 8              # cut-engagement bumps per trace
@@ -75,7 +76,8 @@ class WheelScenario:
 
     checkpoints lists (parts_ground, units_recorded) batches in wear order.
     Units at or past burn_onset_parts are labeled burn rank 2, earlier ones
-    rank 1.  seed keys the noise; nothing here shapes the power.
+    rank 1.  The onset, which must lie past KNEE, also sets how fast power
+    grows past KNEE.  seed keys the noise.
     """
 
     wheel_id: str
@@ -92,8 +94,8 @@ class WheelScenario:
             raise ValueError("checkpoint parts_ground values must be strictly ascending")
         if any(p < 0 or u < 0 for p, u in self.checkpoints):
             raise ValueError("checkpoint parts and unit counts must be non-negative")
-        if self.burn_onset_parts < 1:
-            raise ValueError("burn_onset_parts must be positive")
+        if not self.burn_onset_parts > KNEE:
+            raise ValueError(f"burn_onset_parts must exceed KNEE ({KNEE})")
 
 
 @dataclass(frozen=True)
@@ -114,11 +116,22 @@ def _trace_rng(scenario: WheelScenario, parts_ground: int, unit_index: int) -> n
     return np.random.default_rng(int.from_bytes(digest[:8], "big"))
 
 
-def mean_power_kw(parts_ground: int) -> np.ndarray:
-    """Noise-free power at a given cumulative wear, one value per sample time."""
+def mean_power_kw(parts_ground: int, burn_onset_parts: int = REF_ONSET) -> np.ndarray:
+    """Noise-free power of a wheel with this onset, one value per sample time.
+
+    The effective wear is parts_ground up to KNEE, and
+    KNEE + (parts_ground - KNEE) * (REF_ONSET - KNEE) / (burn_onset_parts - KNEE)
+    past it, so every onset reaches the REF_ONSET level at that onset.  The
+    default onset makes the effective wear parts_ground itself.
+    """
     if parts_ground < 0:
         raise ValueError("parts_ground must be non-negative")
-    ratio = min(parts_ground / WEAR_CAPACITY_PARTS, WEAR_RATIO_CAP)
+    if not burn_onset_parts > KNEE:
+        raise ValueError(f"burn_onset_parts must exceed KNEE ({KNEE})")
+    wear = parts_ground
+    if parts_ground > KNEE:
+        wear = KNEE + (parts_ground - KNEE) * (REF_ONSET - KNEE) / (burn_onset_parts - KNEE)
+    ratio = min(wear / WEAR_CAPACITY_PARTS, WEAR_RATIO_CAP)
     return BASELINE_KW + PEAK_KW_NEW * (1.0 + WEAR_GAIN * ratio) * _PROFILE
 
 
@@ -127,7 +140,7 @@ def generate_trace(scenario: WheelScenario, parts_ground: int, unit_index: int) 
 
     Deterministic in (seed, wheel_id, parts_ground, unit_index).
     """
-    power = mean_power_kw(parts_ground)
+    power = mean_power_kw(parts_ground, scenario.burn_onset_parts)
     rng = _trace_rng(scenario, parts_ground, unit_index)
     return PowerTrace(
         unit_id=f"{scenario.wheel_id}-p{parts_ground:05d}-u{unit_index:02d}",

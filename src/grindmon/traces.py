@@ -56,6 +56,22 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _read_only(value) -> np.ndarray:
+    """value as a float array marked read-only; a float array is frozen in place, not copied."""
+    array = np.asarray(value, dtype=float)
+    array.flags.writeable = False
+    return array
+
+
+def _csv_text(header, rows) -> str:
+    """CSV text with LF line ends; a field with a comma or quote is quoted, None is empty."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def _check_metadata(parts_ground, burn_rank, **ids) -> None:
     """Reject metadata that a manifest could not carry back unchanged.
 
@@ -435,13 +451,9 @@ def parse_manifest_csv(text: str, base_dir: Path | str = ".") -> CampaignManifes
 
 
 def serialize_manifest_csv(manifest: CampaignManifest) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(MANIFEST_HEADER.split(","))
-    for e in manifest.entries:
-        rank = "" if e.burn_rank is None else str(e.burn_rank)
-        writer.writerow([e.trace_file, e.unit_id, e.wheel_id, str(e.parts_ground), rank])
-    return buf.getvalue()
+    return _csv_text(MANIFEST_HEADER.split(","), (
+        (e.trace_file, e.unit_id, e.wheel_id, e.parts_ground, e.burn_rank)
+        for e in manifest.entries))
 
 
 def _read_campaign_file(path: Path, parse):

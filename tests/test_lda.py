@@ -12,7 +12,7 @@ from oracles import (
     random_unit_directions,
 )
 
-from grindmon import classify, fisher_ratio, fit_lda, ld1_score, project
+from grindmon import LdaModel, classify, fisher_ratio, fit_lda, ld1_score, project
 from grindmon.errors import DegenerateClasses, DimensionMismatch, SingularWithinScatter, ZeroDirection
 from grindmon.traces import LABEL_BURN, LABEL_NOBURN, build_matrix
 
@@ -272,3 +272,21 @@ def test_direction_is_unit_norm_and_oriented(seed, k):
     model = fit_lda(scores, labels)
     assert abs(np.linalg.norm(model.direction) - 1.0) < 1e-12
     assert model.mu_burn > model.mu_noburn
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("direction", np.array([math.nan]), "direction must be finite"),
+    ("class_means_ld", (-math.inf, 2.0), "class_means_ld must be finite"),
+    ("class_means_ld", (-4.0, 2.0, 3.0), "must each hold 2 values"),
+    ("threshold", math.nan, "threshold must be finite"),
+    ("threshold", math.inf, "threshold must be finite"),
+    ("ridge", math.nan, "ridge must be finite"),
+    ("ridge", math.inf, "ridge must be finite"),
+    ("priors", (0.5, 0.25, 0.25), "must each hold 2 values"),
+])
+def test_model_rejects_a_bad_field_when_made(field, value, message):
+    valid = dict(direction=np.array([1.0]), class_means_ld=(-4.0, 2.0), threshold=1.0,
+                 priors=(0.5, 0.5), ridge=0.0)
+    LdaModel(**valid)
+    with pytest.raises(ValueError, match=message):
+        LdaModel(**{**valid, field: value})

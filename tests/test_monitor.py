@@ -12,6 +12,7 @@ from grindmon import (
     BURN,
     HEALTHY,
     WARNING,
+    DEFAULT_RESAMPLE_LENGTH,
     LdaModel,
     ModelBundle,
     MonitorConfig,
@@ -19,30 +20,35 @@ from grindmon import (
     PcaModel,
     PowerTrace,
     ScenarioPreset,
+    WheelScenario,
     default_preset,
     fit_bundle,
+    fit_matrix,
     format_event,
     generate_campaign,
     generate_trace,
+    generate_wheel_traces,
     load_model,
     load_trace,
     model_to_json,
     observe,
     predict_campaign,
+    resample,
     save_model,
     start_monitor,
 )
 from grindmon.errors import CorruptModel, SchemaError, VersionMismatch
 from grindmon.monitor import MODEL_FIELDS, STATE_ORDER, MonitorState, _step, _view
+from grindmon.simulate import KNEE
 
 
 def identity_bundle(mu_noburn=-4.0, mu_burn=2.0, threshold=1.0,
-                    warning_fraction=0.8, hold_count=1):
+                    warning_fraction=0.8, hold_count=1, direction=(1.0,)):
     """Bundle whose LD1 equals the (constant) power level of a 2-sample trace."""
     pca = PcaModel(mean=np.zeros(2), loadings=np.array([[1.0], [0.0]]),
                    singular_values=np.array([1.0]), n_train=None,
                    explained_variance_ratio=None)
-    lda = LdaModel(direction=np.array([1.0]), class_means_ld=(mu_noburn, mu_burn),
+    lda = LdaModel(direction=np.array(direction), class_means_ld=(mu_noburn, mu_burn),
                    threshold=threshold, priors=(0.5, 0.5), ridge=0.0)
     return ModelBundle(resample_length=2, pca=pca, lda=lda,
                        monitor_config=MonitorConfig(warning_fraction, hold_count),
@@ -321,6 +327,26 @@ def test_start_monitor_rejects_inverted_geometry():
         start_monitor(bad)
 
 
+def test_bundle_cannot_be_made_from_a_nan_direction():
+    # such a bundle would score every trace as ld1=nan and stay Healthy
+    with pytest.raises(ValueError, match="direction must be finite"):
+        identity_bundle(direction=np.array([np.nan]))
+
+
+def test_every_array_of_a_fitted_or_loaded_model_refuses_writes(wheel1_bundle):
+    loaded = load_model(model_to_json(wheel1_bundle).encode("utf-8"))
+    for bundle in (wheel1_bundle, loaded):
+        pca, lda = bundle.pca, bundle.lda
+        arrays = [pca.mean, pca.loadings, pca.singular_values, lda.direction]
+        if pca.explained_variance_ratio is not None:
+            arrays.append(pca.explained_variance_ratio)
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[(0,) * array.ndim] = 0.0
+    assert loaded.pca.explained_variance_ratio is None
+    assert wheel1_bundle.pca.explained_variance_ratio is not None
+
+
 # --- persistence ---
 
 def test_save_load_save_is_byte_identical(tmp_path, wheel1_bundle):
@@ -514,10 +540,6 @@ def test_monitor_config_round_trips(tmp_path):
     assert again.training_fingerprint == bundle.training_fingerprint
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "simulator defect: power follows the shared WEAR_CAPACITY_PARTS, not a"
-    " wheel's burn_onset_parts (see the known-defect note in"
-    " grindmon/simulate.py's module docstring)"))
 def test_dense_replay_burns_no_earlier_than_labeled_onset(tmp_path):
     preset = default_preset(seed=42)
     train = ScenarioPreset(name="train", wheels=(preset.wheels[0],))
@@ -530,3 +552,28 @@ def test_dense_replay_burns_no_earlier_than_labeled_onset(tmp_path):
             break
     assert event.state == BURN
     assert parts >= wheel3.burn_onset_parts, f"burn at {parts} parts"
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), onset=st.integers(KNEE + 2, 2000))
+def test_dense_replay_warns_before_any_onset_and_burns_after_it(seed, onset):
+    """One trace per part: Warning before the onset, Burn at or after it, no regression.
+
+    Onsets start at KNEE + 2.  At KNEE + 1 the first part past the knee is
+    the onset itself, and a model that has not warned by the knee (about one
+    seed in 14) warns on the onset.
+    """
+    wheel1 = default_preset(seed=seed).wheels[0]
+    traces = list(generate_wheel_traces(wheel1))
+    X = np.stack([resample(t, DEFAULT_RESAMPLE_LENGTH) for t in traces])
+    bundle, _ = fit_matrix(X, [t.label for t in traces], "dense-replay")
+    wheel = WheelScenario("wheelx", ((0, 1),), onset, seed=seed)
+    state = start_monitor(bundle)
+    first = {}
+    for parts in itertools.count():
+        event, state = observe(state, bundle, generate_trace(wheel, parts, 0))
+        assert STATE_ORDER[event.state] >= STATE_ORDER[event.prev_state]
+        first.setdefault(event.state, parts)
+        if event.state == BURN:
+            break
+    assert first[WARNING] < onset <= first[BURN], first

@@ -7,6 +7,7 @@ from hypothesis.extra import numpy as hnp
 from oracles import jacobi_eigh, sample_covariance
 
 from grindmon import (
+    PcaModel,
     fit_pca,
     project,
     reconstruct,
@@ -221,3 +222,27 @@ def test_fitted_models_keep_structural_invariants(X):
     s = model.singular_values
     assert np.all(s[:-1] >= s[1:] - 1e-12) and np.all(s >= 0)
     assert model.explained_variance_ratio.sum() <= 1 + 1e-9
+
+
+def _identity_pca(**fields):
+    valid = dict(mean=np.zeros(2), loadings=np.array([[1.0], [0.0]]),
+                 singular_values=np.array([1.0]), n_train=None, explained_variance_ratio=None)
+    return PcaModel(**{**valid, **fields})
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("field", ["mean", "loadings", "singular_values"])
+def test_model_rejects_a_non_finite_field_when_made(field, bad):
+    value = np.array(getattr(_identity_pca(), field))
+    value.flat[0] = bad
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        _identity_pca(**{field: value})
+
+
+def test_model_freezes_its_arrays_without_copying():
+    mean = np.zeros(2)
+    model = _identity_pca(mean=mean)
+    assert model.mean is mean
+    for array in (mean, model.loadings, model.singular_values):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0

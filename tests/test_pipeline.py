@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from grindmon import (
     CampaignManifest,
     ManifestEntry,
     PowerTrace,
+    build_matrix,
     build_report,
     confusion_matrix,
     fit_bundle,
@@ -26,6 +29,7 @@ from grindmon import (
 from grindmon.errors import ManifestError
 from grindmon.lda import HealthVerdict
 from grindmon.pipeline import _spearman_vs_order
+from grindmon.traces import power_limit
 
 
 def write_noisy_campaign(tmp_path, n_per_class=6, length=24, seed=0):
@@ -184,3 +188,85 @@ def test_spearman_is_invariant_under_increasing_transforms(values):
     x = np.array(values, dtype=float)
     assert _spearman_vs_order(np.exp(x / 4.0) + 3.0 * x) == pytest.approx(
         _spearman_vs_order(x), abs=1e-12)
+
+
+# --- metamorphic oracles for the fit ---
+
+# LD1 agrees within this fraction of max|LD1| after a decimal rescale or a
+# row permutation; 2,000 random problems gave at most 2.2e-14.
+LD1_RTOL = 1e-12
+
+
+def two_class_problem(seed):
+    """A small random matrix whose Burn rows are offset along a random axis."""
+    rng = np.random.default_rng(seed)
+    n_per, length = int(rng.integers(4, 9)), int(rng.integers(3, 17))
+    X = rng.standard_normal((2 * n_per, length))
+    X[n_per:] += 3.0 * rng.standard_normal(length)
+    return X, ["NoBurn"] * n_per + ["Burn"] * n_per
+
+
+def assert_scaled_fit(bundle, base, j):
+    """bundle is base fitted on X * 2**j: shapes bit-equal, levels exactly 2**j larger."""
+    np.testing.assert_array_equal(bundle.pca.loadings, base.pca.loadings)
+    np.testing.assert_array_equal(bundle.lda.direction, base.lda.direction)
+    np.testing.assert_array_equal(bundle.pca.mean, np.ldexp(base.pca.mean, j))
+    np.testing.assert_array_equal(bundle.pca.singular_values,
+                                  np.ldexp(base.pca.singular_values, j))
+    assert bundle.lda.class_means_ld == tuple(math.ldexp(m, j) for m in base.lda.class_means_ld)
+    assert bundle.lda.threshold == math.ldexp(base.lda.threshold, j)
+
+
+# Between 2**440 and 2**512 the largest entry passes about 1.5e138, where
+# LAPACK's SVD rescales the matrix by a factor that is not a power of two;
+# nothing overflows there, but the last bits may differ.  From 2**512 on,
+# fit_matrix itself rescales by 2**-k.
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       j=st.one_of(st.integers(-200, 440), st.integers(512, 1000)))
+def test_power_of_two_rescale_scales_the_fit_exactly(seed, j):
+    X, labels = two_class_problem(seed)
+    base, _ = fit_matrix(X, labels, "f")
+    bundle, _ = fit_matrix(np.ldexp(X, j), labels, "f")
+    assert_scaled_fit(bundle, base, j)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), c=st.sampled_from([1e-3, 1e3]))
+def test_decimal_rescale_keeps_labels_and_scales_ld1(seed, c):
+    X, labels = two_class_problem(seed)
+    _, ld1, predicted = score_matrix(fit_matrix(X, labels, "f")[0], X)
+    _, ld1_c, predicted_c = score_matrix(fit_matrix(X * c, labels, "f")[0], X * c)
+    assert predicted_c.tolist() == predicted.tolist()
+    assert np.max(np.abs(ld1_c / c - ld1)) <= LD1_RTOL * np.max(np.abs(ld1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_row_order_does_not_change_the_fit(seed):
+    X, labels = two_class_problem(seed)
+    perm = np.random.default_rng(seed).permutation(len(labels))
+    _, ld1, predicted = score_matrix(fit_matrix(X, labels, "f")[0], X)
+    bundle, _ = fit_matrix(X[perm], [labels[i] for i in perm], "f")
+    _, ld1_p, predicted_p = score_matrix(bundle, X)
+    assert predicted_p.tolist() == predicted.tolist()
+    assert np.max(np.abs(ld1_p - ld1)) <= LD1_RTOL * np.max(np.abs(ld1))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", ["1e160", "power_limit", "2**600"])
+def test_fit_on_accepted_but_huge_powers(wheel1_manifest, scale):
+    """Powers up to power_limit(L), which build_matrix admits, fit without overflow."""
+    X = build_matrix(wheel1_manifest).values
+    labels = wheel1_manifest.labels()
+    c = {"1e160": 1e160, "power_limit": power_limit(X.shape[1]) / np.abs(X).max(),
+         "2**600": 2.0**600}[scale]
+    base, _ = fit_matrix(X, labels, "f")
+    bundle, _ = fit_matrix(X * c, labels, "f")
+    if scale == "2**600":
+        assert_scaled_fit(bundle, base, 600)
+    _, ld1, predicted = score_matrix(base, X)
+    _, ld1_c, predicted_c = score_matrix(bundle, X * c)
+    assert predicted_c.tolist() == predicted.tolist()
+    assert np.max(np.abs(ld1_c / c - ld1)) <= LD1_RTOL * np.max(np.abs(ld1))
+    assert abs(bundle.lda.threshold / c / base.lda.threshold - 1) <= LD1_RTOL

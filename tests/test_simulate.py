@@ -15,12 +15,16 @@ from grindmon import (
 )
 from grindmon.simulate import (
     BASELINE_KW,
+    KNEE,
     NOISE_KW,
     PEAK_KW_NEW,
+    REF_ONSET,
     SAMPLE_PERIOD_S,
     WEAR_CAPACITY_PARTS,
     WEAR_GAIN,
+    WEAR_RATIO_CAP,
     ScenarioPreset,
+    _PROFILE,
 )
 
 
@@ -93,6 +97,36 @@ def test_seed_changes_noise_but_not_shape():
 def test_mean_power_strictly_increases_with_wear():
     means = [mean_power_kw(p).mean() for p in (0, 200, 500, 900, 1300, 1900)]
     assert all(b > a for a, b in zip(means, means[1:]))
+
+
+def test_every_onset_shares_the_power_at_the_knee():
+    for onset in (KNEE + 1, 1200, 1300, 1400, 2000):
+        np.testing.assert_array_equal(mean_power_kw(KNEE, onset), mean_power_kw(KNEE))
+
+
+def test_each_wheel_reaches_the_reference_power_at_its_own_onset():
+    reference = mean_power_kw(REF_ONSET)
+    for wheel in default_preset().wheels:
+        onset = wheel.burn_onset_parts
+        np.testing.assert_array_equal(mean_power_kw(onset, onset), reference)
+        residual = generate_trace(wheel, onset, 0).powers - reference
+        assert abs(residual.mean()) < 0.01
+
+
+def test_the_reference_onset_keeps_wear_equal_to_parts_ground():
+    # wheel 1's onset is REF_ONSET, so its traces do not depend on the knee
+    for parts in (0, KNEE, KNEE + 1, REF_ONSET, 1367, 2500):
+        ratio = min(parts / WEAR_CAPACITY_PARTS, WEAR_RATIO_CAP)
+        expected = BASELINE_KW + PEAK_KW_NEW * (1.0 + WEAR_GAIN * ratio) * _PROFILE
+        np.testing.assert_array_equal(mean_power_kw(parts, REF_ONSET), expected)
+
+
+def test_onset_must_lie_past_the_knee():
+    with pytest.raises(ValueError, match="exceed KNEE"):
+        quiet(burn_onset_parts=KNEE)
+    with pytest.raises(ValueError, match="exceed KNEE"):
+        mean_power_kw(1300, KNEE)
+    quiet(burn_onset_parts=KNEE + 1)
 
 
 def test_burn_rank_matches_onset():
