@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 
@@ -20,7 +19,7 @@ from .errors import (
     SingularWithinScatter,
     ZeroDirection,
 )
-from .traces import LABEL_BURN, LABEL_NOBURN, _read_only
+from .traces import LABEL_BURN, LABEL_NOBURN, _float_array, _read_only, _real, _reduce_through_init
 
 DEFAULT_RIDGE = 1e-8
 _LABELS = np.array([LABEL_NOBURN, LABEL_BURN])  # indexed by ld1 >= threshold
@@ -43,10 +42,17 @@ class LdaModel:
     ridge: float
 
     def __post_init__(self):
-        object.__setattr__(self, "direction", _read_only(self.direction))
-        object.__setattr__(self, "class_means_ld", tuple(float(m) for m in self.class_means_ld))
-        object.__setattr__(self, "priors", tuple(float(p) for p in self.priors))
+        object.__setattr__(self, "direction", _read_only(self.direction, "direction"))
+        for name in ("class_means_ld", "priors"):
+            pair = _float_array(getattr(self, name), name)
+            if pair.shape != (2,):
+                raise ValueError("class_means_ld and priors must each hold 2 values")
+            object.__setattr__(self, name, tuple(pair.tolist()))
+        for name in ("threshold", "ridge"):
+            object.__setattr__(self, name, _real(getattr(self, name), name))
         self.validate()
+
+    __reduce__ = _reduce_through_init
 
     @property
     def n_components(self) -> int:
@@ -61,12 +67,14 @@ class LdaModel:
         return self.class_means_ld[1]
 
     def validate(self) -> None:
-        if len(self.class_means_ld) != 2 or len(self.priors) != 2:
-            raise ValueError("class_means_ld and priors must each hold 2 values")
         for name in ("direction", "class_means_ld", "threshold", "ridge"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} must be finite")
-        if abs(float(np.linalg.norm(self.direction)) - 1.0) > 1e-12:
+        # no entry of a vector within the norm's tolerance exceeds it; rejecting
+        # larger ones first keeps the norm from overflowing
+        direction = self.direction
+        if (np.any(np.abs(direction) > 1.0 + 1e-12)
+                or abs(float(np.linalg.norm(direction)) - 1.0) > 1e-12):
             raise ValueError("direction must have unit norm")
         if not self.mu_burn > self.mu_noburn:
             raise ValueError("LD1 must increase with wear (mu_burn > mu_noburn)")
@@ -189,12 +197,7 @@ def _prior_pair(priors) -> tuple[float, float]:
         p_n, p_b = priors
     except (TypeError, ValueError):  # not iterable, or not two items
         raise ValueError("priors must be a pair of real numbers") from None
-    if not all(isinstance(p, Real) and not isinstance(p, bool) for p in (p_n, p_b)):
-        raise ValueError("priors must be a pair of real numbers")
-    try:
-        return float(p_n), float(p_b)
-    except OverflowError:  # an integer beyond float range
-        raise ValueError("priors must be positive and finite") from None
+    return _real(p_n, "a prior in priors"), _real(p_b, "a prior in priors")
 
 
 def _ld1(model: LdaModel, scores: np.ndarray):

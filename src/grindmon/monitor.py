@@ -5,8 +5,8 @@ drives a three-state machine Healthy -> Warning -> Burn through the pure
 `_step`.  States never move backward within a run: wear is irreversible for
 one wheel, and a fresh wheel gets a fresh MonitorState.  The machine advances
 at most one state per observation, so a Warning alert always lands before the
-state can escalate to Burn.  A trace whose largest |power| is beyond the
-bundle's trace_power_limit is rejected before scoring, which could overflow.
+state can escalate to Burn.  observe has no input rule of its own: resample
+refuses a trace whose scoring could overflow.
 
 A trained model ships as a single self-contained text document (canonical
 JSON: sorted keys, shortest round-trip floats), so save -> load -> save is
@@ -21,7 +21,6 @@ from __future__ import annotations
 import json
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import islice
 from operator import attrgetter, index
 from pathlib import Path
@@ -32,7 +31,15 @@ import numpy as np
 from .errors import CorruptModel, SchemaError, VersionMismatch
 from .lda import LdaModel, classify
 from .pca import PcaModel, project
-from .traces import PowerTrace, _is_integer, _too_large, power_limit, resample
+from .traces import (
+    PowerTrace,
+    _is_integer,
+    _real,
+    _reduce_through_init,
+    _tuple,
+    power_limit,
+    resample,
+)
 
 FORMAT_VERSION = 1
 
@@ -77,11 +84,15 @@ class MonitorConfig:
     hold_count: int = 1
 
     def __post_init__(self):
-        if not 0.0 < self.warning_fraction < 1.0:
+        fraction = _real(self.warning_fraction, "warning_fraction")
+        if not 0.0 < fraction < 1.0:
             raise ValueError("warning_fraction must lie strictly in (0, 1)")
+        object.__setattr__(self, "warning_fraction", fraction)
         hold = self.hold_count
         if not _is_integer(hold) or hold < 1:
             raise ValueError(f"hold_count must be a positive integer, got {hold!r}")
+
+    __reduce__ = _reduce_through_init
 
 
 @dataclass(frozen=True)
@@ -101,7 +112,14 @@ class ModelBundle:
     def __post_init__(self):
         self.validate()
 
+    __reduce__ = _reduce_through_init
+
     def validate(self) -> None:
+        parts = (self.pca, self.lda, self.monitor_config)
+        if not all(map(isinstance, parts, (PcaModel, LdaModel, MonitorConfig))):
+            raise ValueError("a bundle needs a PcaModel, an LdaModel and a MonitorConfig")
+        if not _is_integer(self.resample_length) or not isinstance(self.training_fingerprint, str):
+            raise ValueError("resample_length must be an integer and training_fingerprint a string")
         if self.pca.n_variables != self.resample_length:
             raise CorruptModel(
                 f"PCA has {self.pca.n_variables} variables but resample_length"
@@ -112,16 +130,11 @@ class ModelBundle:
                 f"LDA direction has {self.lda.n_components} components but PCA"
                 f" keeps {self.pca.n_components}"
             )
-        if not np.abs(self.pca.mean).max() <= self.trace_power_limit:
+        limit = power_limit(self.resample_length)
+        if not np.abs(self.pca.mean).max() <= limit:
             raise CorruptModel(
-                f"PCA mean exceeds {self.trace_power_limit!r} in magnitude, so"
-                " scoring could overflow"
+                f"PCA mean exceeds {limit!r} in magnitude, so scoring could overflow"
             )
-
-    @cached_property
-    def trace_power_limit(self) -> float:
-        """power_limit(resample_length): the largest |power| a scored trace may hold."""
-        return power_limit(self.resample_length)
 
     def warning_limit(self) -> float:
         mu_n = self.lda.mu_noburn
@@ -228,10 +241,10 @@ class MonitorState:
     history: History = field(default_factory=History)
 
     def __post_init__(self):
-        if self.state not in STATE_ORDER:
+        if self.state not in (HEALTHY, WARNING, BURN):  # an unhashable state is unknown too
             raise ValueError(f"unknown state {self.state!r}")
         if type(self.history) is not History:
-            object.__setattr__(self, "history", History(self.history))
+            object.__setattr__(self, "history", History(_tuple(self.history, "history")))
 
 
 def start_monitor(bundle: ModelBundle) -> MonitorState:
@@ -267,13 +280,10 @@ def observe(
     """Score one trace and advance the health state machine by `_step`.
 
     Observations after Burn are accepted but flagged post-failure.  A trace
-    whose max_abs_power exceeds the bundle's trace_power_limit raises
-    UnscorableTrace, with one comparison; that limit keeps LD1 finite for
-    any bundle, since a bundle checks itself when made.
+    that `resample` refuses raises its UnscorableTrace, and the state does
+    not move; any trace it accepts scores to a finite LD1 against any
+    bundle, since a bundle checks itself when made.
     """
-    limit = bundle.trace_power_limit
-    if not trace.max_abs_power <= limit:
-        raise _too_large(trace, limit)
     lda = bundle.lda
     ld1, label = classify(lda, project(bundle.pca, resample(trace, bundle.resample_length)))
     prev = state.state

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadComponentCount, DimensionMismatch, InsufficientObservations
-from .traces import _read_only
+from .traces import _read_only, _reduce_through_init
 
 ORTHONORMALITY_TOL = 1e-9
 
@@ -37,9 +37,11 @@ class PcaModel:
 
     def __post_init__(self):
         for name in ("mean", "loadings", "singular_values", "explained_variance_ratio"):
-            if getattr(self, name) is not None:
-                object.__setattr__(self, name, _read_only(getattr(self, name)))
+            if name != "explained_variance_ratio" or self.explained_variance_ratio is not None:
+                object.__setattr__(self, name, _read_only(getattr(self, name), name))
         self.validate()
+
+    __reduce__ = _reduce_through_init
 
     @property
     def n_variables(self) -> int:
@@ -69,7 +71,7 @@ class PcaModel:
             raise ValueError("loading columns must be orthonormal")
         if self.explained_variance_ratio is not None:
             evr = self.explained_variance_ratio
-            if evr.shape != (k,) or np.any(evr < 0) or evr.sum() > 1 + 1e-9:
+            if evr.shape != (k,) or not (np.all(evr >= 0) and evr.sum() <= 1 + 1e-9):
                 raise ValueError("explained variance ratios must lie in [0, 1] and sum to <= 1")
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ManifestError
+from .errors import ManifestError, UnscorableTrace
 from .lda import DEFAULT_RIDGE, HealthVerdict, classify, fit_lda
 from .monitor import ModelBundle, MonitorConfig
 from .pca import fit_pca, project, truncate
@@ -25,6 +25,7 @@ from .traces import (
     CampaignManifest,
     _csv_text,
     build_matrix,
+    power_limit,
 )
 
 DEFAULT_VARIANCE_TARGET = 0.95
@@ -116,7 +117,23 @@ def fit_matrix(
 
 
 def score_matrix(bundle: ModelBundle, X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """PCA scores (n x k), LD1 and labels for every row of an n x L trace matrix."""
+    """PCA scores (n x k), LD1 and labels for every row of an n x L trace matrix.
+
+    The matrix half of `resample`'s gate: a matrix holding a NaN or an
+    |entry| beyond power_limit(bundle.resample_length) raises
+    UnscorableTrace naming the first such row, counted from 0.  A
+    build_matrix matrix never does.
+    """
+    X = np.asarray(X, dtype=float)
+    limit = power_limit(bundle.resample_length)
+    within = np.abs(X) <= limit  # False for NaN
+    if not within.all():
+        i = int(np.argmin(within.all(axis=-1)))
+        largest = np.abs(X[i] if X.ndim > 1 else X).max()
+        raise UnscorableTrace(
+            f"matrix row {i}: largest |power| {float(largest)!r} kW is not within"
+            f" {limit!r} kW, the most it can hold to be scored without overflow"
+        )
     scores = project(bundle.pca, X)
     return (scores, *classify(bundle.lda, scores))
 

@@ -37,6 +37,8 @@ from .traces import (
     ManifestEntry,
     PowerTrace,
     _format_column,
+    _is_integer,
+    _tuple,
     save_manifest,
     serialize_trace_csv,
 )
@@ -74,10 +76,11 @@ _PROFILE.setflags(write=False)
 class WheelScenario:
     """One wheel's lifetime campaign.
 
-    checkpoints lists (parts_ground, units_recorded) batches in wear order.
-    Units at or past burn_onset_parts are labeled burn rank 2, earlier ones
-    rank 1.  The onset, which must lie past KNEE, also sets how fast power
-    grows past KNEE.  seed keys the noise.
+    wheel_id names the wheel's directory in a written campaign, so it is one
+    plain name.  checkpoints lists (parts_ground, units_recorded) integer
+    batches in wear order.  Units at or past burn_onset_parts are labeled
+    burn rank 2, earlier ones rank 1.  The onset, at least KNEE + 2, also
+    sets how fast power grows past KNEE.  seed keys the noise.
     """
 
     wheel_id: str
@@ -86,16 +89,21 @@ class WheelScenario:
     seed: int = 42
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "checkpoints", tuple((int(p), int(u)) for p, u in self.checkpoints)
-        )
+        wheel_id = self.wheel_id
+        if (not isinstance(wheel_id, str) or wheel_id in ("", ".", "..")
+                or "/" in wheel_id or "\\" in wheel_id
+                or not wheel_id.isprintable() or wheel_id != wheel_id.strip()):
+            raise ValueError(f"wheel_id must be one plain directory name, got {wheel_id!r}")
+        pairs = [_tuple(pair, "a checkpoint") for pair in _tuple(self.checkpoints, "checkpoints")]
+        if not all(len(pair) == 2 and all(map(_is_integer, pair)) for pair in pairs):
+            raise ValueError("checkpoints must be (parts_ground, units_recorded) integer pairs")
+        object.__setattr__(self, "checkpoints", tuple((int(p), int(u)) for p, u in pairs))
         parts = [p for p, _ in self.checkpoints]
         if any(b <= a for a, b in zip(parts, parts[1:])):
             raise ValueError("checkpoint parts_ground values must be strictly ascending")
         if any(p < 0 or u < 0 for p, u in self.checkpoints):
             raise ValueError("checkpoint parts and unit counts must be non-negative")
-        if not self.burn_onset_parts > KNEE:
-            raise ValueError(f"burn_onset_parts must exceed KNEE ({KNEE})")
+        _check_onset(self.burn_onset_parts)
 
 
 @dataclass(frozen=True)
@@ -116,6 +124,18 @@ def _trace_rng(scenario: WheelScenario, parts_ground: int, unit_index: int) -> n
     return np.random.default_rng(int.from_bytes(digest[:8], "big"))
 
 
+def _check_onset(burn_onset_parts) -> None:
+    """Reject an onset that is not an integer of at least KNEE + 2.
+
+    At KNEE + 1 the first part past the knee is the onset itself, already at
+    the REF_ONSET level, so a model that has not warned by the knee warns on
+    the onset part rather than before it.
+    """
+    if not _is_integer(burn_onset_parts) or burn_onset_parts < KNEE + 2:
+        raise ValueError(f"burn_onset_parts must be an integer of at least KNEE + 2"
+                         f" ({KNEE + 2}), got {burn_onset_parts!r}")
+
+
 def mean_power_kw(parts_ground: int, burn_onset_parts: int = REF_ONSET) -> np.ndarray:
     """Noise-free power of a wheel with this onset, one value per sample time.
 
@@ -126,8 +146,7 @@ def mean_power_kw(parts_ground: int, burn_onset_parts: int = REF_ONSET) -> np.nd
     """
     if parts_ground < 0:
         raise ValueError("parts_ground must be non-negative")
-    if not burn_onset_parts > KNEE:
-        raise ValueError(f"burn_onset_parts must exceed KNEE ({KNEE})")
+    _check_onset(burn_onset_parts)
     wear = parts_ground
     if parts_ground > KNEE:
         wear = KNEE + (parts_ground - KNEE) * (REF_ONSET - KNEE) / (burn_onset_parts - KNEE)

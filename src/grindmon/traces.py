@@ -2,8 +2,9 @@
 
 A trace is the motor power (kW) recorded at fixed intervals while one unit
 is ground.  Traces of differing duration are aligned onto a fixed number of
-variables by linear-interpolation resampling before any statistics are run.
-Parsing is strict: bad sensor data is rejected, never repaired.
+variables by linear-interpolation resampling before any statistics are run;
+resampling also refuses a trace too large to score.  Parsing is strict: bad
+sensor data is rejected, never repaired.
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ import io
 import math
 import operator
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import repeat
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -56,11 +58,49 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def _read_only(value) -> np.ndarray:
+def _float_array(value, name: str) -> np.ndarray:
+    """value as a float array; ValueError, naming it, if numpy cannot convert it exactly.
+
+    A complex value is refused: numpy would drop its imaginary part with only
+    a warning.  A float array is returned as it is, not copied.
+    """
+    try:
+        array = np.asarray(value)
+        if array.dtype.kind == "c":
+            raise TypeError
+        return array if array.dtype == np.float64 else array.astype(float)
+    except (TypeError, ValueError, OverflowError):  # OverflowError: an int beyond float range
+        raise ValueError(f"{name} must be an array of real numbers") from None
+
+
+def _read_only(value, name: str) -> np.ndarray:
     """value as a float array marked read-only; a float array is frozen in place, not copied."""
-    array = np.asarray(value, dtype=float)
+    array = _float_array(value, name)
     array.flags.writeable = False
     return array
+
+
+def _real(value, name: str) -> float:
+    """value as a float; ValueError unless it is a real number in float range (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must lie within float range") from None
+
+
+def _tuple(value, name: str) -> tuple:
+    """tuple(value); ValueError, naming it, if value is not iterable."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise ValueError(f"{name} must be a sequence, got {value!r}") from None
+
+
+def _reduce_through_init(self):
+    """`__reduce__` for a checked dataclass: copy and unpickle call its constructor."""
+    return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
 def _csv_text(header, rows) -> str:
@@ -110,8 +150,8 @@ class PowerTrace:
     max_abs_power: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        powers = np.asarray(self.powers, dtype=float)
+        times = _float_array(self.times, "times")
+        powers = _float_array(self.powers, "powers")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "powers", powers)
         if times.ndim != 1 or powers.ndim != 1 or times.shape != powers.shape:
@@ -174,8 +214,13 @@ class CampaignManifest:
     base_dir: Path = field(default_factory=Path)
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
-        object.__setattr__(self, "base_dir", Path(self.base_dir))
+        object.__setattr__(self, "entries", _tuple(self.entries, "entries"))
+        if not all(isinstance(e, ManifestEntry) for e in self.entries):
+            raise ValueError("entries must be ManifestEntry objects")
+        try:
+            object.__setattr__(self, "base_dir", Path(self.base_dir))
+        except TypeError:
+            raise ValueError(f"base_dir must be a path, got {self.base_dir!r}") from None
         seen: dict[tuple[str, str], int] = {}
         last_parts: dict[str, int] = {}
         for i, e in enumerate(self.entries, start=1):
@@ -215,9 +260,9 @@ class TraceMatrix:
     resample_length: int
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+        values = _float_array(self.values, "values")
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "meta", tuple(self.meta))
+        object.__setattr__(self, "meta", _tuple(self.meta, "meta"))
         if values.ndim != 2:
             raise ValueError("values must be a 2-d matrix")
         n, L = values.shape
@@ -358,14 +403,6 @@ def power_limit(length: int) -> float:
     return sys.float_info.max / (4.0 * math.sqrt(length))
 
 
-def _too_large(trace: PowerTrace, limit: float) -> UnscorableTrace:
-    """The error for a trace whose max_abs_power exceeds `limit`."""
-    return UnscorableTrace(
-        f"trace {trace.unit_id!r}: largest |power| {trace.max_abs_power!r} kW exceeds"
-        f" {limit!r} kW, the most it can hold to be scored without overflow"
-    )
-
-
 def _check_length(length) -> None:
     """Reject a resample length that is not an integer of at least 2."""
     if not _is_integer(length):
@@ -406,12 +443,20 @@ def _grid(t0: float, t1: float, length: int) -> np.ndarray:
 def resample(trace: PowerTrace, length: int) -> np.ndarray:
     """Power linearly interpolated at `length` equally spaced times.
 
-    The grid spans [t_first, t_last]; both endpoint values are preserved
-    exactly.  The grid comes from `_grid`, which reuses the previous call's
-    grid when (t_first, t_last, length) repeats; the result is always a
-    fresh, writable array.
+    The one gate for scoring: a trace whose max_abs_power exceeds
+    power_limit(length) raises UnscorableTrace, so every resampled trace
+    can be scored without overflow.  The grid spans [t_first, t_last]; both
+    endpoint values are preserved exactly.  The grid comes from `_grid`,
+    which reuses the previous call's grid when (t_first, t_last, length)
+    repeats; the result is always a fresh, writable array.
     """
     _check_length(length)
+    limit = power_limit(length)
+    if not trace.max_abs_power <= limit:
+        raise UnscorableTrace(
+            f"trace {trace.unit_id!r}: largest |power| {trace.max_abs_power!r} kW exceeds"
+            f" {limit!r} kW, the most it can hold to be scored without overflow"
+        )
     times = trace.times
     values = np.interp(_grid(times[0], times[-1], length), times, trace.powers)
     values[0] = trace.powers[0]
@@ -498,20 +543,20 @@ def build_matrix(manifest: CampaignManifest, length: int = DEFAULT_RESAMPLE_LENG
     Every trace goes through load_trace and parse_trace_csv.  A time column
     that repeats the previous trace's, field for field, is converted once
     and shared read-only for the rest of this call; nothing is kept between
-    calls, and every trace is still checked in full.  A trace whose largest
-    |power| exceeds power_limit(length) raises a CampaignFileError naming
-    its file.
+    calls, and every trace is still checked in full.  A trace that
+    `resample` refuses as unscorable raises a CampaignFileError naming its
+    file.
     """
     _check_length(length)
     if not manifest.entries:
         raise EmptyCampaign("manifest has no entries")
     rows = np.empty((len(manifest.entries), length))
     column = _TimeColumn()
-    limit = power_limit(length)
     for i, entry in enumerate(manifest.entries):
         path = manifest.base_dir / entry.trace_file
         trace = load_trace(path, entry, _column=column)
-        if not trace.max_abs_power <= limit:
-            raise CampaignFileError(path, _too_large(trace, limit))
-        rows[i] = resample(trace, length)
+        try:
+            rows[i] = resample(trace, length)
+        except UnscorableTrace as exc:
+            raise CampaignFileError(path, exc) from exc
     return TraceMatrix(values=rows, meta=manifest.entries, resample_length=length)

@@ -1,3 +1,4 @@
+import copy
 import io
 import itertools
 import json
@@ -347,6 +348,27 @@ def test_every_array_of_a_fitted_or_loaded_model_refuses_writes(wheel1_bundle):
     assert wheel1_bundle.pca.explained_variance_ratio is not None
 
 
+def test_copied_and_unpickled_models_are_remade_through_their_constructors(wheel1_bundle):
+    loaded = load_model(model_to_json(wheel1_bundle).encode("utf-8"))
+    for bundle in (wheel1_bundle, loaded):
+        copies = (copy.copy(bundle), copy.deepcopy(bundle), pickle.loads(pickle.dumps(bundle)))
+        for again in copies:
+            # dataclass == compares arrays and raises, so compare the documents
+            assert model_to_json(again) == model_to_json(bundle)
+            for array in (again.pca.mean, again.pca.loadings, again.lda.direction):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[(0,) * array.ndim] = 0.0
+
+
+def test_a_pickle_carrying_a_nan_direction_is_refused(wheel1_bundle):
+    payload = pickle.dumps(wheel1_bundle)
+    first = wheel1_bundle.lda.direction[:1].tobytes()
+    assert payload.count(first) == 1  # the direction's first value, stored as raw bytes
+    edited = payload.replace(first, np.array([np.nan]).tobytes())
+    with pytest.raises(ValueError, match="direction must be finite"):
+        pickle.loads(edited)
+
+
 # --- persistence ---
 
 def test_save_load_save_is_byte_identical(tmp_path, wheel1_bundle):
@@ -559,9 +581,10 @@ def test_dense_replay_burns_no_earlier_than_labeled_onset(tmp_path):
 def test_dense_replay_warns_before_any_onset_and_burns_after_it(seed, onset):
     """One trace per part: Warning before the onset, Burn at or after it, no regression.
 
-    Onsets start at KNEE + 2.  At KNEE + 1 the first part past the knee is
-    the onset itself, and a model that has not warned by the knee (about one
-    seed in 14) warns on the onset.
+    The onsets cover every onset a WheelScenario accepts, from KNEE + 2 on.
+    KNEE + 1 is refused: there the first part past the knee is the onset
+    itself, and a model that has not warned by the knee (about one seed in
+    14) warns on the onset.
     """
     wheel1 = default_preset(seed=seed).wheels[0]
     traces = list(generate_wheel_traces(wheel1))

@@ -21,8 +21,10 @@ from grindmon import (
     observe,
     parse_trace_csv,
     predict_campaign,
+    resample,
     save_manifest,
     save_model,
+    score_matrix,
     start_monitor,
 )
 from grindmon.cli import main
@@ -95,8 +97,7 @@ def test_observe_rejects_a_trace_beyond_the_power_limit(wheel1_bundle):
     state = start_monitor(bundle)
     with pytest.raises(UnscorableTrace, match="'huge-smooth'"):
         observe(state, bundle, make_trace(*CASES["huge-smooth"], unit_id="huge-smooth"))
-    limit = bundle.trace_power_limit
-    assert limit == power_limit(bundle.resample_length)
+    limit = power_limit(bundle.resample_length)
     times = np.arange(600) * 0.05
     with pytest.raises(UnscorableTrace):
         observe(state, bundle, make_trace(times, np.full(600, np.nextafter(limit, np.inf))))
@@ -104,6 +105,39 @@ def test_observe_rejects_a_trace_beyond_the_power_limit(wheel1_bundle):
     for powers in (np.full(600, limit), limit * (-1.0) ** np.arange(600)):
         event, _ = observe(state, bundle, make_trace(times, powers))
         assert np.isfinite(event.ld1)
+
+
+@pytest.mark.parametrize("length", [2, 512, 4096])
+def test_resample_is_the_gate_for_a_trace(length):
+    limit = power_limit(length)
+    times = np.arange(3) * 1e9  # long steps keep each slope finite
+    past = make_trace(times, [0.0, -np.nextafter(limit, np.inf), 0.0], unit_id="past")
+    with pytest.raises(UnscorableTrace) as err:
+        resample(past, length)
+    assert str(err.value) == (
+        f"trace 'past': largest |power| {past.max_abs_power!r} kW exceeds {limit!r} kW,"
+        " the most it can hold to be scored without overflow")
+    assert np.abs(resample(make_trace(times, [limit, -limit, limit]), length)).max() == limit
+
+
+def test_score_matrix_refuses_a_matrix_beyond_the_power_limit(wheel1_bundle):
+    """The in-memory route: rows of +-1e308 would score to LD1 inf and -inf."""
+    bundle = wheel1_bundle
+    L = bundle.resample_length
+    limit = power_limit(L)
+    X = np.full((3, L), 1.0)
+    for bad in (1e308, -1e308, np.nan):
+        X[1] = bad
+        with pytest.raises(UnscorableTrace, match="^matrix row 1: largest") as err:
+            score_matrix(bundle, X)
+        assert "kW is not within" in str(err.value)
+    with pytest.raises(UnscorableTrace, match="^matrix row 0: "):
+        score_matrix(bundle, X[1])  # one vector
+    # exactly at the limit, even with alternating signs, every LD1 is finite
+    X[1] = limit
+    X[2] = limit * (-1.0) ** np.arange(L)
+    scores, ld1, _ = score_matrix(bundle, X)
+    assert np.isfinite(scores).all() and np.isfinite(ld1).all()
 
 
 @pytest.mark.parametrize("case", CASES)

@@ -100,7 +100,7 @@ def test_mean_power_strictly_increases_with_wear():
 
 
 def test_every_onset_shares_the_power_at_the_knee():
-    for onset in (KNEE + 1, 1200, 1300, 1400, 2000):
+    for onset in (KNEE + 2, 1200, 1300, 1400, 2000):
         np.testing.assert_array_equal(mean_power_kw(KNEE, onset), mean_power_kw(KNEE))
 
 
@@ -122,11 +122,14 @@ def test_the_reference_onset_keeps_wear_equal_to_parts_ground():
 
 
 def test_onset_must_lie_past_the_knee():
-    with pytest.raises(ValueError, match="exceed KNEE"):
-        quiet(burn_onset_parts=KNEE)
-    with pytest.raises(ValueError, match="exceed KNEE"):
-        mean_power_kw(1300, KNEE)
-    quiet(burn_onset_parts=KNEE + 1)
+    """At KNEE + 1 the onset part is the first past the knee, so a warning could land on it."""
+    for onset in (KNEE, KNEE + 1, 1300.0, "1300", None):
+        with pytest.raises(ValueError, match=r"at least KNEE \+ 2"):
+            quiet(burn_onset_parts=onset)
+        with pytest.raises(ValueError, match=r"at least KNEE \+ 2"):
+            mean_power_kw(1300, onset)
+    quiet(burn_onset_parts=KNEE + 2)
+    mean_power_kw(1300, np.int64(KNEE + 2))
 
 
 def test_burn_rank_matches_onset():
@@ -196,6 +199,22 @@ def test_scenario_validation():
         quiet(checkpoints=((200, 2), (100, 2)))
     with pytest.raises(ValueError):
         quiet(burn_onset_parts=0)
+
+
+@pytest.mark.parametrize("wheel_id", ["", ".", "..", "a/b", "../w", "/w", "a\\b", " w",
+                                      "w\n", "w\x00", None])
+def test_a_wheel_id_must_name_one_directory(wheel_id):
+    """generate_campaign writes under the wheel id: "" would put traces at "/", ".." above it."""
+    with pytest.raises(ValueError, match="one plain directory name"):
+        quiet(wheel_id=wheel_id)
+
+
+def test_a_campaign_stays_under_its_directory(tmp_path):
+    preset = ScenarioPreset("p", (quiet(wheel_id="wheel.1-a"),))
+    out = tmp_path / "out"
+    manifest = generate_campaign(preset, out)
+    for entry in manifest.entries:
+        assert (out / entry.trace_file).resolve().parent == (out / "wheel.1-a").resolve()
 
 
 def test_make_preset_names():

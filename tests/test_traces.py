@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tempfile
 from pathlib import Path
@@ -12,6 +13,8 @@ from grindmon import (
     ManifestEntry,
     PowerTrace,
     build_matrix,
+    default_preset,
+    generate_trace,
     label_from_rank,
     load_manifest,
     parse_manifest_csv,
@@ -403,6 +406,61 @@ def test_resample_exact_on_affine_signals(slope, intercept, n, length):
     out = resample(trace, length)
     grid = np.linspace(times[0], times[-1], length)
     np.testing.assert_allclose(out, slope * grid + intercept, atol=1e-12)
+
+
+def simulated_trace(seed, parts):
+    return generate_trace(default_preset(seed=seed).wheels[seed % 3], parts, 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), parts=st.integers(0, 2500),
+       k=st.integers(-900, 900), length=st.sampled_from([2, 64, 512, 513, 2048]))
+def test_scaling_times_by_a_power_of_two_gives_a_bit_equal_resample(seed, parts, k, length):
+    """Times times 2**k, all staying normal floats, resample to the same bits.
+
+    Scaling by 2**k changes only exponents, and rounding commutes with it.
+    Every step of the grid and of np.interp on the times is a difference,
+    a quotient by a count, a product with a count, a sum or a comparison,
+    so each computed time scales by exactly 2**k and each slope by 2**-k.
+    A slope times an offset into its step, plus a power, is then the same
+    float as before.
+    """
+    trace = simulated_trace(seed, parts)
+    scaled = dataclasses.replace(trace, times=np.ldexp(trace.times, k))
+    assert resample(scaled, length).tobytes() == resample(trace, length).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), parts=st.integers(0, 2500),
+       shift=st.floats(0.0, 2e9), length=st.sampled_from([2, 64, 512, 513, 2048]))
+@example(seed=42, parts=1300, shift=100.0, length=512)
+@example(seed=42, parts=1300, shift=1e6, length=512)
+@example(seed=42, parts=1300, shift=1.7e9, length=512)
+def test_shifting_times_moves_a_resample_by_at_most_its_rounding(seed, parts, shift, length):
+    """Times plus c move each resampled power by no more than rounding allows.
+
+    Let S be the largest |power step / time step| and f the exact linear
+    interpolant, so f is S-Lipschitz.  With u the ulp of the largest
+    shifted time, u0 that of the largest original time, P the largest
+    |power| and eps = 2**-53 (so eps * x < ulp(x)):
+    - each shifted time is rounded by at most u/2, which moves the
+      interpolant by at most S u/2;
+    - each computed grid time is off the exact one by at most 4.5 u: u/2
+      from the rounded first time, 1.5 u from the rounded span, 2 u from
+      the step's two roundings and u/2 from the final sum (and at most
+      4.5 u0 for the original times, whose ends are exact);
+    - np.interp's five roundings in a slope times an offset, a product of
+      at most 2 P, add under 10 ulp(P), and its final sum ulp(P)/2.
+    Both resamples are compared with f, so the bound is the sum of both.
+    """
+    trace = simulated_trace(seed, parts)
+    times, powers = trace.times, trace.powers
+    shifted = dataclasses.replace(trace, times=times + shift)
+    moved = np.abs(resample(shifted, length) - resample(trace, length)).max()
+    S = np.abs(np.diff(powers) / np.diff(times)).max()
+    u, u0 = np.spacing(shifted.times[-1]), np.spacing(times[-1])
+    bound = S * (5 * u + 4.5 * u0) + 21 * np.spacing(np.abs(powers).max())
+    assert moved <= bound
 
 
 # --- manifests and matrix assembly ---
