@@ -224,12 +224,13 @@ def classify(model: LdaModel, scores: np.ndarray):
     ties are Burn.
     """
     scores = np.asarray(scores, dtype=float)
+    if scores.ndim == 1 and scores.shape[0] == model.direction.shape[0]:
+        # one monitor step: compare as Python scalars, skip numpy boxing
+        ld1 = float(scores @ model.direction)
+        return ld1, LABEL_BURN if ld1 >= model.threshold else LABEL_NOBURN
     if scores.ndim not in (1, 2):
         raise DimensionMismatch("classify takes a score vector or a stack of score rows")
-    ld1 = _ld1(model, scores)
-    if scores.ndim == 1:  # one monitor step: compare as Python scalars, skip numpy boxing
-        ld1 = float(ld1)
-        return ld1, LABEL_BURN if ld1 >= model.threshold else LABEL_NOBURN
+    ld1 = _ld1(model, scores)  # raises for a vector of the wrong length
     return ld1, _LABELS.take(ld1 >= model.threshold)
 
 

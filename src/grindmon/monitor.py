@@ -243,6 +243,7 @@ class MonitorState:
     def __post_init__(self):
         if self.state not in (HEALTHY, WARNING, BURN):  # an unhashable state is unknown too
             raise ValueError(f"unknown state {self.state!r}")
+        object.__setattr__(self, "warning_limit", _real(self.warning_limit, "warning_limit"))
         if type(self.history) is not History:
             object.__setattr__(self, "history", History(_tuple(self.history, "history")))
 
@@ -256,6 +257,18 @@ def start_monitor(bundle: ModelBundle) -> MonitorState:
             " the bundle's threshold does not sit above its healthy-class mean"
         )
     return MonitorState(state=HEALTHY, warning_limit=limit)
+
+
+def _next_state(name: str, warning_limit: float, counter: int, history: History) -> MonitorState:
+    """observe's next MonitorState, from values it took from a checked state or built itself.
+
+    It skips the constructor's checks, which those values already meet.
+    """
+    state = object.__new__(MonitorState)
+    fields = state.__dict__
+    fields["state"], fields["warning_limit"] = name, warning_limit
+    fields["consecutive_above"], fields["history"] = counter, history
+    return state
 
 
 def _step(state: MonitorState, ld1: float, threshold: float, hold_count: int) -> tuple[str, int]:
@@ -291,7 +304,7 @@ def observe(
     unit_id = trace.unit_id
     event = MonitorEvent(unit_id, ld1, label, prev, name, name != prev, prev == BURN)
     history = state.history.appended((unit_id, ld1, label, name))
-    return event, MonitorState(name, state.warning_limit, counter, history)
+    return event, _next_state(name, state.warning_limit, counter, history)
 
 
 def format_event(event: MonitorEvent) -> str:

@@ -139,7 +139,7 @@ def fit_pca(X, k: int | float) -> PcaModel:
 def project(model: PcaModel, x: np.ndarray) -> np.ndarray:
     """Scores of x: loadings' (x - mean).  Accepts one vector or a stack of rows."""
     x = np.asarray(x, dtype=float)
-    if x.shape[-1] != model.n_variables:
+    if x.shape[-1] != model.loadings.shape[0]:
         raise DimensionMismatch(
             f"expected {model.n_variables} variables, got {x.shape[-1]}"
         )

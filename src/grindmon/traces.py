@@ -59,17 +59,21 @@ def _is_integer(value) -> bool:
 
 
 def _float_array(value, name: str) -> np.ndarray:
-    """value as a float array; ValueError, naming it, if numpy cannot convert it exactly.
+    """value as a float array; ValueError, naming it, unless it holds integers or floats.
 
-    A complex value is refused: numpy would drop its imaginary part with only
-    a warning.  A float array is returned as it is, not copied.
+    Only numpy's integer and float kinds pass: numpy would parse strings
+    ("1_0" is 10), read bools as 0 and 1, drop a complex value's imaginary
+    part, and convert an object array item by item.  A float array is
+    returned as it is, not copied.
     """
     try:
         array = np.asarray(value)
-        if array.dtype.kind == "c":
+        if array.dtype == np.float64:
+            return array
+        if array.dtype.kind not in ("i", "u", "f"):
             raise TypeError
-        return array if array.dtype == np.float64 else array.astype(float)
-    except (TypeError, ValueError, OverflowError):  # OverflowError: an int beyond float range
+        return array.astype(float)
+    except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{name} must be an array of real numbers") from None
 
 
@@ -405,6 +409,8 @@ def power_limit(length: int) -> float:
 
 def _check_length(length) -> None:
     """Reject a resample length that is not an integer of at least 2."""
+    if length.__class__ is int and length >= 2:  # the common case; bools and numpy ints go on
+        return
     if not _is_integer(length):
         raise BadResampleLength(f"resample length must be an integer, got {length!r}")
     if length < 2:
@@ -446,9 +452,11 @@ def resample(trace: PowerTrace, length: int) -> np.ndarray:
     The one gate for scoring: a trace whose max_abs_power exceeds
     power_limit(length) raises UnscorableTrace, so every resampled trace
     can be scored without overflow.  The grid spans [t_first, t_last]; both
-    endpoint values are preserved exactly.  The grid comes from `_grid`,
-    which reuses the previous call's grid when (t_first, t_last, length)
-    repeats; the result is always a fresh, writable array.
+    endpoint values are preserved exactly, since `_grid`'s ends are those
+    times exactly and np.interp returns fp[j] itself where x == xp[j].  The
+    grid comes from `_grid`, which reuses the previous call's grid when
+    (t_first, t_last, length) repeats; the result is always a fresh,
+    writable array.
     """
     _check_length(length)
     limit = power_limit(length)
@@ -458,10 +466,7 @@ def resample(trace: PowerTrace, length: int) -> np.ndarray:
             f" {limit!r} kW, the most it can hold to be scored without overflow"
         )
     times = trace.times
-    values = np.interp(_grid(times[0], times[-1], length), times, trace.powers)
-    values[0] = trace.powers[0]
-    values[-1] = trace.powers[-1]
-    return values
+    return np.interp(_grid(times[0], times[-1], length), times, trace.powers)
 
 
 def parse_manifest_csv(text: str, base_dir: Path | str = ".") -> CampaignManifest:

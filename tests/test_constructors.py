@@ -60,6 +60,7 @@ POOL = [  # odd values, each tried in every field of every constructor
     np.array([]), np.array([1j, 2j]), np.complex128(1j), [np.complex128(1j), 1.0],
     np.array([[1.0], [0.0]]),
     np.float64("nan"), np.int64(3), np.array(["a"]), np.array([None], dtype=object),
+    ["0", "1_0"], [" 1.5", "2"], ["-4", "2"], ["0.5", "0.5"], [False, True],
     ENTRY, PCA, LDA, CONFIG,
 ]
 ODD = st.one_of(
@@ -117,3 +118,25 @@ def test_any_odd_fields_together(cls, data):
 def test_each_escape_once_seen_is_now_a_value_error(cls, field, value):
     with pytest.raises(ValueError):
         cls(**{**VALID[cls], field: value})
+
+
+@pytest.mark.parametrize("cls, fields", [
+    (PowerTrace, dict(times=["0", "1_0"], powers=[" 1.5", "2"])),
+    (PowerTrace, dict(times=[False, True])),
+    (PowerTrace, dict(powers=np.array([1, 2], dtype=object))),
+    (LdaModel, dict(class_means_ld=["-4", "2"], priors=["0.5", "0.5"])),
+    (LdaModel, dict(direction=[True])),
+    (PcaModel, dict(mean=["0", "0"])),
+    (TraceMatrix, dict(values=[["0", "1"]])),
+])
+def test_numeric_arrays_refuse_strings_bools_and_objects(cls, fields):
+    """numpy would parse "1_0" as 10 and read False, True as 0, 1; neither is accepted."""
+    with pytest.raises(ValueError, match="must be an array of real numbers"):
+        cls(**{**VALID[cls], **fields})
+
+
+def test_numeric_arrays_take_integers_and_floats_of_any_width():
+    trace = PowerTrace(**{**VALID[PowerTrace], "times": np.array([0, 1], dtype=np.uint8),
+                          "powers": np.array([1.5, 2.0], dtype=np.float32)})
+    assert trace.times.dtype == trace.powers.dtype == np.float64
+    assert trace.times.tolist() == [0.0, 1.0] and trace.powers.tolist() == [1.5, 2.0]

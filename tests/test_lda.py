@@ -103,6 +103,8 @@ def test_classify_threshold_rule():
         one_ld1, one_label = classify(model, row)
         assert type(one_ld1) is float and type(one_label) is str
         assert np.float64(one_ld1).tobytes() == v.tobytes() and one_label == label
+    with pytest.raises(DimensionMismatch, match="expected 1 score components, got 3"):
+        classify(model, np.zeros(3))
     with pytest.raises(DimensionMismatch):
         classify(model, np.zeros((4, 2)))
     with pytest.raises(DimensionMismatch):

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import io
 import itertools
 import json
@@ -37,10 +38,13 @@ from grindmon import (
     resample,
     save_model,
     start_monitor,
+    table2_preset,
 )
 from grindmon.errors import CorruptModel, SchemaError, VersionMismatch
 from grindmon.monitor import MODEL_FIELDS, STATE_ORDER, MonitorState, _step, _view
 from grindmon.simulate import KNEE
+
+from test_traces import linspace_resample
 
 
 def identity_bundle(mu_noburn=-4.0, mu_burn=2.0, threshold=1.0,
@@ -208,6 +212,47 @@ def test_hundred_thousand_observation_lifetime():
     assert alerts == [WARNING, BURN]
     assert state.history[-1] == ("u999", 3.0, "Burn", BURN)
     assert [STATE_ORDER[r[3]] for r in state.history] == order[1:]
+
+
+def test_monitor_state_rejects_a_warning_limit_that_is_not_a_number():
+    for bad in ("x", None, True, [0.0], 10**400):
+        with pytest.raises(ValueError, match="warning_limit"):
+            MonitorState(HEALTHY, bad, 0)
+    assert type(MonitorState(HEALTHY, np.float64(0.5)).warning_limit) is float
+
+
+def test_observe_gives_the_events_of_the_scoring_formula_on_2000_wheel2_traces(wheel1_bundle):
+    """Each event, and the state after it, as the formula and the public constructors give them.
+
+    LD1 is float(((x - mean) @ loadings) @ direction), bit for bit, with x
+    resampled as first written (np.linspace grid, ends pinned).  observe
+    builds its events and states without their constructors; they must equal
+    what the constructors make.  A hold count of 3 makes the counter move.
+    """
+    hold = 3
+    bundle = dataclasses.replace(wheel1_bundle, monitor_config=MonitorConfig(hold_count=hold))
+    pca, lda = bundle.pca, bundle.lda
+    wheel2 = table2_preset(seed=42).wheel("wheel2")
+    state = ref = start_monitor(bundle)
+    records = []
+    for parts in range(2000):
+        trace = generate_trace(wheel2, parts, 0)
+        event, state = observe(state, bundle, trace)
+        x = linspace_resample(trace, bundle.resample_length)
+        ld1 = float(((x - pca.mean) @ pca.loadings) @ lda.direction)
+        label = "Burn" if ld1 >= lda.threshold else "NoBurn"
+        name, counter = _step(ref, ld1, lda.threshold, hold)
+        assert type(event) is MonitorEvent and event.ld1.hex() == ld1.hex()
+        assert event == MonitorEvent(trace.unit_id, ld1, label, ref.state, name,
+                                     name != ref.state, ref.state == BURN)
+        records.append((trace.unit_id, ld1, label, name))
+        ref = MonitorState(name, ref.warning_limit, counter)
+        assert (state.state, state.warning_limit, state.consecutive_above) == (
+            ref.state, ref.warning_limit, ref.consecutive_above)
+    assert ref.state == BURN
+    assert type(state) is MonitorState and state.history == tuple(records)
+    assert MonitorState(state.state, state.warning_limit, state.consecutive_above,
+                        state.history) == state
 
 
 def test_monitor_config_rejects_bool_hold_count():

@@ -124,7 +124,7 @@ def test_fit_errors():
 
 def test_project_dimension_mismatch():
     model = fit_pca(np.random.default_rng(1).normal(size=(5, 4)), 2)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DimensionMismatch, match="expected 4 variables, got 5"):
         project(model, np.zeros(5))
     with pytest.raises(DimensionMismatch):
         reconstruct(model, np.zeros(3))

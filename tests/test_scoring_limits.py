@@ -16,6 +16,7 @@ from grindmon import (
     PowerTrace,
     build_matrix,
     build_report,
+    generate_trace,
     load_model,
     model_to_json,
     observe,
@@ -26,6 +27,7 @@ from grindmon import (
     save_model,
     score_matrix,
     start_monitor,
+    table2_preset,
 )
 from grindmon.cli import main
 from grindmon.errors import CampaignFileError, CorruptModel, InvalidValue, UnscorableTrace
@@ -105,6 +107,30 @@ def test_observe_rejects_a_trace_beyond_the_power_limit(wheel1_bundle):
     for powers in (np.full(600, limit), limit * (-1.0) ** np.arange(600)):
         event, _ = observe(state, bundle, make_trace(times, powers))
         assert np.isfinite(event.ld1)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="a trace's arrays stay writable, so an edit made after the checks"
+                          " reaches the scores; ROADMAP.md names the fix")
+def test_a_trace_edited_after_it_is_made_cannot_score_nan(wheel1_bundle):
+    """An edit to a made trace is refused, or the trace is refused, or LD1 stays finite.
+
+    PowerTrace checks max_abs_power and every slope once, when made.  Opposite
+    huge powers written into its arrays afterwards give an infinite slope,
+    which np.interp turns into NaN.
+    """
+    trace = generate_trace(table2_preset(seed=42).wheel("wheel2"), 0, 0)
+    try:
+        trace.powers[100:110] = 1.7e308
+        trace.powers[101] = -1.7e308
+    except ValueError:  # read-only arrays: the edit itself is refused
+        return
+    with np.errstate(all="ignore"):
+        try:
+            event, _ = observe(start_monitor(wheel1_bundle), wheel1_bundle, trace)
+        except UnscorableTrace:
+            return
+    assert np.isfinite(event.ld1), event
 
 
 @pytest.mark.parametrize("length", [2, 512, 4096])

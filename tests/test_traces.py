@@ -383,6 +383,35 @@ def test_resample_of_interleaved_spans_is_bit_equal_to_linspace():
                     == linspace_resample(trace, length).tobytes())
 
 
+@pytest.mark.parametrize("length", [17, 512, 1024])
+@pytest.mark.parametrize("grid", ["cached", "fresh", "underflow"])
+def test_resample_keeps_the_exact_bits_of_both_end_powers(grid, length):
+    """The ends of a resample are powers[0] and powers[-1] bit for bit, -0.0 included.
+
+    resample writes nothing after np.interp: `_grid` gives the first and
+    last times exactly, and np.interp returns fp[j] itself where x == xp[j],
+    with fewer grid points than samples and with more.  "underflow" is
+    `_grid`'s branch for a span whose step underflows: equal powers, so the
+    slopes stay finite, over a subnormal span.
+    """
+    if grid == "underflow":
+        times, powers = np.array([-0.0, 5e-324, 1e-323]), np.array([-0.0, -0.0, -0.0])
+        assert times[-1] / (length - 1) == 0
+    else:
+        times = np.r_[-0.0, np.arange(1, 513) * 0.05]
+        powers = np.r_[-0.0, np.linspace(1.0, 3.0, 511), -0.0]
+    trace = make_trace(times, powers)
+    _grid.cache_clear()
+    if grid == "cached":
+        resample(make_trace(times, np.ones(times.size)), length)
+    out = resample(trace, length)
+    if grid == "cached":
+        assert _grid.cache_info().hits >= 1
+    assert out[0].tobytes() == powers[0].tobytes() and np.signbit(out[0])
+    assert out[-1].tobytes() == powers[-1].tobytes() and np.signbit(out[-1])
+    assert out.tobytes() == linspace_resample(trace, length).tobytes()
+
+
 def test_writing_into_a_resample_result_leaves_the_next_unchanged():
     trace = make_trace(np.arange(20) * 0.05, np.linspace(1.0, 3.0, 20))
     first = resample(trace, 64)
