@@ -191,15 +191,14 @@ def monitor(model_path, traces):
     """Stream traces through the three-state health monitor.
 
     Trace file paths come as arguments, or line-delimited on stdin when
-    no arguments are given.  Emits one JSON event per trace; the exit
-    code reflects the final state (0 Healthy, 3 Warning, 4 Burn).
+    no arguments are given; stdin is read one line at a time, and each
+    event is written as soon as its trace is scored.  Emits one JSON event
+    per trace; the exit code reflects the final state (0 Healthy, 3
+    Warning, 4 Burn).
     """
     bundle = load_model(model_path)
     state = start_monitor(bundle)
-    paths = list(traces)
-    if not paths:
-        paths = [line.strip() for line in sys.stdin if line.strip()]
-    for path in paths:
+    for path in traces or filter(None, map(str.strip, sys.stdin)):
         trace = load_trace(path)
         if not trace.unit_id:
             trace = dataclasses.replace(trace, unit_id=Path(path).stem)

@@ -30,7 +30,7 @@ class LdaModel:
     """Unit-norm discriminant direction in score space plus the decision rule.
 
     class_means_ld is (mu_noburn, mu_burn) on LD1 with mu_burn > mu_noburn;
-    scores at or above threshold classify as Burn.  A model runs validate()
+    scores at or above threshold classify as Burn.  A model checks itself
     when made and holds a read-only direction, so it stays valid while it
     exists.
     """
@@ -50,23 +50,6 @@ class LdaModel:
             object.__setattr__(self, name, tuple(pair.tolist()))
         for name in ("threshold", "ridge"):
             object.__setattr__(self, name, _real(getattr(self, name), name))
-        self.validate()
-
-    __reduce__ = _reduce_through_init
-
-    @property
-    def n_components(self) -> int:
-        return int(self.direction.size)
-
-    @property
-    def mu_noburn(self) -> float:
-        return self.class_means_ld[0]
-
-    @property
-    def mu_burn(self) -> float:
-        return self.class_means_ld[1]
-
-    def validate(self) -> None:
         for name in ("direction", "class_means_ld", "threshold", "ridge"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} must be finite")
@@ -83,6 +66,20 @@ class LdaModel:
             raise ValueError("priors must lie in (0, 1) and sum to 1")
         if self.ridge < 0:
             raise ValueError("ridge must be non-negative")
+
+    __reduce__ = _reduce_through_init
+
+    @property
+    def n_components(self) -> int:
+        return int(self.direction.size)
+
+    @property
+    def mu_noburn(self) -> float:
+        return self.class_means_ld[0]
+
+    @property
+    def mu_burn(self) -> float:
+        return self.class_means_ld[1]
 
 
 @dataclass(frozen=True)

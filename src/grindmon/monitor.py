@@ -110,11 +110,6 @@ class ModelBundle:
     training_fingerprint: str
 
     def __post_init__(self):
-        self.validate()
-
-    __reduce__ = _reduce_through_init
-
-    def validate(self) -> None:
         parts = (self.pca, self.lda, self.monitor_config)
         if not all(map(isinstance, parts, (PcaModel, LdaModel, MonitorConfig))):
             raise ValueError("a bundle needs a PcaModel, an LdaModel and a MonitorConfig")
@@ -135,6 +130,8 @@ class ModelBundle:
             raise CorruptModel(
                 f"PCA mean exceeds {limit!r} in magnitude, so scoring could overflow"
             )
+
+    __reduce__ = _reduce_through_init
 
     def warning_limit(self) -> float:
         mu_n = self.lda.mu_noburn
@@ -244,6 +241,9 @@ class MonitorState:
         if self.state not in (HEALTHY, WARNING, BURN):  # an unhashable state is unknown too
             raise ValueError(f"unknown state {self.state!r}")
         object.__setattr__(self, "warning_limit", _real(self.warning_limit, "warning_limit"))
+        counter = self.consecutive_above
+        if not _is_integer(counter) or counter < 0:
+            raise ValueError(f"consecutive_above must be a non-negative integer, got {counter!r}")
         if type(self.history) is not History:
             object.__setattr__(self, "history", History(_tuple(self.history, "history")))
 

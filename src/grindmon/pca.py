@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadComponentCount, DimensionMismatch, InsufficientObservations
-from .traces import _read_only, _reduce_through_init
+from .traces import _is_integer, _read_only, _reduce_through_init
 
 ORTHONORMALITY_TOL = 1e-9
 
@@ -25,7 +25,7 @@ class PcaModel:
 
     explained_variance_ratio and n_train describe the fit and are None on
     models rebuilt from a persisted file, which stores only what projection
-    needs.  A model runs validate() when made and holds its arrays
+    needs.  A model checks itself when made and holds its arrays
     read-only, so it stays valid while it exists.
     """
 
@@ -39,19 +39,9 @@ class PcaModel:
         for name in ("mean", "loadings", "singular_values", "explained_variance_ratio"):
             if name != "explained_variance_ratio" or self.explained_variance_ratio is not None:
                 object.__setattr__(self, name, _read_only(getattr(self, name), name))
-        self.validate()
-
-    __reduce__ = _reduce_through_init
-
-    @property
-    def n_variables(self) -> int:
-        return int(self.loadings.shape[0])
-
-    @property
-    def n_components(self) -> int:
-        return int(self.loadings.shape[1])
-
-    def validate(self) -> None:
+        n_train = self.n_train
+        if n_train is not None and (not _is_integer(n_train) or n_train < 2):
+            raise ValueError(f"n_train must be None or an integer of at least 2, got {n_train!r}")
         for name in ("mean", "loadings", "singular_values"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} must be finite")
@@ -73,6 +63,16 @@ class PcaModel:
             evr = self.explained_variance_ratio
             if evr.shape != (k,) or not (np.all(evr >= 0) and evr.sum() <= 1 + 1e-9):
                 raise ValueError("explained variance ratios must lie in [0, 1] and sum to <= 1")
+
+    __reduce__ = _reduce_through_init
+
+    @property
+    def n_variables(self) -> int:
+        return int(self.loadings.shape[0])
+
+    @property
+    def n_components(self) -> int:
+        return int(self.loadings.shape[1])
 
 
 def _apply_sign_convention(loadings: np.ndarray) -> np.ndarray:

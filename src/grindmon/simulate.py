@@ -36,7 +36,6 @@ from .traces import (
     CampaignManifest,
     ManifestEntry,
     PowerTrace,
-    _format_column,
     _is_integer,
     _tuple,
     save_manifest,
@@ -104,12 +103,26 @@ class WheelScenario:
         if any(p < 0 or u < 0 for p, u in self.checkpoints):
             raise ValueError("checkpoint parts and unit counts must be non-negative")
         _check_onset(self.burn_onset_parts)
+        if not _is_integer(self.seed):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
 class ScenarioPreset:
+    """A named campaign of wheels, each written under its own wheel_id."""
+
     name: str
     wheels: tuple[WheelScenario, ...]
+
+    def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ValueError(f"name must be a string, got {self.name!r}")
+        object.__setattr__(self, "wheels", _tuple(self.wheels, "wheels"))
+        if not all(isinstance(w, WheelScenario) for w in self.wheels):
+            raise ValueError("wheels must be WheelScenario objects")
+        ids = [w.wheel_id for w in self.wheels]
+        if len(set(ids)) != len(ids):
+            raise ValueError(f"wheel ids must be unique, got {ids}")
 
     def wheel(self, wheel_id: str) -> WheelScenario:
         for w in self.wheels:
@@ -218,19 +231,18 @@ def generate_campaign(preset: ScenarioPreset, out_dir) -> CampaignManifest:
 
     Layout under out_dir: <wheel_id>/<unit_id>.csv for traces,
     <wheel_id>-manifest.csv per wheel, manifest.csv for the whole preset.
-    Returns the combined manifest.  Every trace shares _TIMES, so its column
-    text is formatted once for the whole campaign.
+    Returns the combined manifest.  Every trace shares _TIMES, so
+    serialize_trace_csv formats that column once for the whole campaign.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    time_fields = _format_column(_TIMES)
     all_entries: list[ManifestEntry] = []
     for scenario in preset.wheels:
         (out / scenario.wheel_id).mkdir(exist_ok=True)
         wheel_entries: list[ManifestEntry] = []
         for trace in generate_wheel_traces(scenario):
             rel = f"{scenario.wheel_id}/{trace.unit_id}.csv"
-            text = serialize_trace_csv(trace, _time_fields=time_fields)
+            text = serialize_trace_csv(trace)
             (out / rel).write_text(text, encoding="utf-8")
             wheel_entries.append(
                 ManifestEntry(rel, trace.unit_id, scenario.wheel_id,

@@ -267,6 +267,11 @@ class TraceMatrix:
         values = _float_array(self.values, "values")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "meta", _tuple(self.meta, "meta"))
+        if not all(isinstance(e, ManifestEntry) for e in self.meta):
+            raise ValueError("meta must be ManifestEntry objects")
+        if not _is_integer(self.resample_length) or self.resample_length < 2:
+            raise ValueError(f"resample_length must be an integer of at least 2,"
+                             f" got {self.resample_length!r}")
         if values.ndim != 2:
             raise ValueError("values must be a 2-d matrix")
         n, L = values.shape
@@ -280,17 +285,16 @@ class TraceMatrix:
             raise ValueError("matrix values must be finite")
 
 
-@dataclass
-class _TimeColumn:
-    """The last time column converted within one build_matrix call.
+@functools.lru_cache(maxsize=1)
+def _time_column(text: str) -> np.ndarray:
+    """The comma-joined time fields `text` as a read-only float array.
 
-    A fixed-rate campaign writes the same time column into every trace, so a
-    trace whose time fields equal, string for string, the previous trace's
-    takes that trace's read-only array instead of converting them again.
+    The last column is kept, keyed on its exact text, so the traces of a
+    fixed-rate campaign share one array and convert their times once.
     """
-
-    fields: list[str] | None = None
-    times: np.ndarray | None = None
+    times = np.fromiter(map(float, text.split(",")), float)
+    times.flags.writeable = False
+    return times
 
 
 def parse_trace_csv(
@@ -300,7 +304,6 @@ def parse_trace_csv(
     wheel_id: str = "",
     parts_ground: int = 0,
     burn_rank: int | None = None,
-    _column: _TimeColumn | None = None,
 ) -> PowerTrace:
     """Parse a `time_s,power_kw` CSV stream into a PowerTrace.
 
@@ -316,9 +319,10 @@ def parse_trace_csv(
     their join; when every row holds exactly one comma, the two columns are
     converted straight into arrays and PowerTrace checks them.  Anything
     that path rejects goes to a row-by-row loop, which alone raises the
-    row-numbered errors.  Within one build_matrix call, a time column equal
-    to the previous trace's is not converted again: the trace shares that
-    trace's read-only times array.
+    row-numbered errors.  That path's times come from `_time_column`, so
+    they are read-only, and a time column equal to the last one parsed is
+    not converted again: the trace shares that array.  Powers are always
+    the trace's own, writable array.
     """
     lines = text.splitlines()
     while lines and not lines[-1].strip():
@@ -333,20 +337,12 @@ def parse_trace_csv(
     fields = ",".join(body).split(",")
     # 2n fields, and a comma in every row, is exactly one comma per row
     if len(fields) == 2 * n and all(map(operator.contains, body, repeat(","))):
-        time_fields = fields[0::2]
-        shared = _column is not None and time_fields == _column.fields
         try:
-            times_arr = (_column.times if shared
-                         else np.fromiter(map(float, time_fields), float, n))
+            times_arr = _time_column(",".join(fields[0::2]))
             powers_arr = np.fromiter(map(float, fields[1::2]), float, n)
-            trace = PowerTrace(times=times_arr, powers=powers_arr, **meta)
+            return PowerTrace(times=times_arr, powers=powers_arr, **meta)
         except (ValueError, TooFewSamples):
             pass
-        else:
-            if _column is not None and not shared:
-                times_arr.setflags(write=False)
-                _column.fields, _column.times = time_fields, times_arr
-            return trace
 
     times: list[float] = []
     powers: list[float] = []
@@ -381,16 +377,19 @@ def _format_column(values: np.ndarray) -> list[str]:
     return list(map(repr, values.tolist()))
 
 
-def serialize_trace_csv(trace: PowerTrace, *, _time_fields: list[str] | None = None) -> str:
+@functools.lru_cache(maxsize=1)
+def _formatted_times(data: bytes) -> tuple[str, ...]:
+    """`_format_column` of the float64 times in `data`; keeps the last column, by bytes."""
+    return tuple(_format_column(np.frombuffer(data)))
+
+
+def serialize_trace_csv(trace: PowerTrace) -> str:
     """Trace back to CSV text; floats printed in shortest round-trip form.
 
-    A writer that shares one times array across many traces may pass its
-    formatted column once as `_time_fields`; it must be
-    `_format_column(trace.times)`.
+    A times column equal to the last one written is not formatted again.
     """
-    if _time_fields is None:
-        _time_fields = _format_column(trace.times)
-    rows = map(",".join, zip(_time_fields, _format_column(trace.powers)))
+    rows = map(",".join, zip(_formatted_times(trace.times.tobytes()),
+                             _format_column(trace.powers)))
     return TRACE_HEADER + "\n" + "\n".join(rows) + "\n"
 
 
@@ -417,33 +416,11 @@ def _check_length(length) -> None:
         raise BadResampleLength(f"resample length must be >= 2, got {length}")
 
 
-@functools.lru_cache(maxsize=1)
-def _grid(t0: float, t1: float, length: int) -> np.ndarray:
-    """`length` equally spaced times over [t0, t1], bit-equal to np.linspace.
-
-    The same float64 arithmetic as np.linspace without its call overhead,
-    including its branch for a span whose step underflows to 0.  The last
-    grid is kept, keyed on the exact (t0, t1, length), and returned again for
-    a repeated key, so every trace of a fixed-rate, fixed-length cycle shares
-    one grid; a trace of any other span builds its own and also pays the
-    cache's upkeep.  Callers must not write to the grid; it is not marked
-    read-only because np.interp copies a read-only input on every call.
-    Keys compare as floats, so 0.0 and -0.0 share an entry; the two grids
-    differ at most in the sign of a zero endpoint, which np.interp reads
-    alike.
-    """
-    div = length - 1
-    delta = t1 - t0
-    step = delta / div
-    grid = np.arange(length, dtype=float)
-    if step == 0:
-        grid /= div
-        grid *= delta
-    else:
-        grid *= step
-    grid += t0
-    grid[-1] = t1
-    return grid
+# np.linspace keeping its last grid, keyed on the exact (t0, t1, length), so the
+# traces of a fixed-rate, fixed-length cycle share one grid.  Callers must not
+# write to it; it stays writable since np.interp copies a read-only input on
+# every call.  0.0 and -0.0 share a key; np.interp reads both grids alike.
+_grid = functools.lru_cache(maxsize=1)(np.linspace)
 
 
 def resample(trace: PowerTrace, length: int) -> np.ndarray:
@@ -452,11 +429,11 @@ def resample(trace: PowerTrace, length: int) -> np.ndarray:
     The one gate for scoring: a trace whose max_abs_power exceeds
     power_limit(length) raises UnscorableTrace, so every resampled trace
     can be scored without overflow.  The grid spans [t_first, t_last]; both
-    endpoint values are preserved exactly, since `_grid`'s ends are those
-    times exactly and np.interp returns fp[j] itself where x == xp[j].  The
-    grid comes from `_grid`, which reuses the previous call's grid when
-    (t_first, t_last, length) repeats; the result is always a fresh,
-    writable array.
+    endpoint values are preserved exactly, since np.linspace's ends are
+    those times exactly and np.interp returns fp[j] itself where x == xp[j].
+    The grid comes from `_grid`, np.linspace behind a one-entry cache, which
+    reuses the previous call's grid when (t_first, t_last, length) repeats;
+    the result is always a fresh, writable array.
     """
     _check_length(length)
     limit = power_limit(length)
@@ -523,13 +500,8 @@ def save_manifest(manifest: CampaignManifest, path: Path | str) -> None:
     Path(path).write_text(serialize_manifest_csv(manifest), encoding="utf-8")
 
 
-def load_trace(
-    path: Path | str,
-    entry: ManifestEntry | None = None,
-    *,
-    _column: _TimeColumn | None = None,
-) -> PowerTrace:
-    """Load one trace file, attaching manifest metadata when given."""
+def load_trace(path: Path | str, entry: ManifestEntry | None = None) -> PowerTrace:
+    """One trace file through parse_trace_csv (its times may be shared), with manifest metadata."""
     kwargs = {}
     if entry is not None:
         kwargs = dict(
@@ -539,27 +511,25 @@ def load_trace(
             burn_rank=entry.burn_rank,
         )
     return _read_campaign_file(
-        Path(path), lambda text: parse_trace_csv(text, _column=_column, **kwargs))
+        Path(path), lambda text: parse_trace_csv(text, **kwargs))
 
 
 def build_matrix(manifest: CampaignManifest, length: int = DEFAULT_RESAMPLE_LENGTH) -> TraceMatrix:
     """Resample every manifest trace to `length` and stack in manifest order.
 
-    Every trace goes through load_trace and parse_trace_csv.  A time column
-    that repeats the previous trace's, field for field, is converted once
-    and shared read-only for the rest of this call; nothing is kept between
-    calls, and every trace is still checked in full.  A trace that
-    `resample` refuses as unscorable raises a CampaignFileError naming its
-    file.
+    Every trace goes through load_trace and parse_trace_csv, so a time
+    column that repeats the last one parsed is converted once and shared
+    read-only, within and across calls; every trace is still checked in
+    full.  A trace that `resample` refuses as unscorable raises a
+    CampaignFileError naming its file.
     """
     _check_length(length)
     if not manifest.entries:
         raise EmptyCampaign("manifest has no entries")
     rows = np.empty((len(manifest.entries), length))
-    column = _TimeColumn()
     for i, entry in enumerate(manifest.entries):
         path = manifest.base_dir / entry.trace_file
-        trace = load_trace(path, entry, _column=column)
+        trace = load_trace(path, entry)
         try:
             rows[i] = resample(trace, length)
         except UnscorableTrace as exc:

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import select
 import subprocess
 import sys
 from pathlib import Path
@@ -71,8 +72,7 @@ def test_fit_summary_and_model_file(work, runner):
                  "class counts: NoBurn=80 Burn=20"):
         assert line in result.output
     assert "threshold:" in result.output and "warning limit:" in result.output
-    bundle = load_model(work / "model2.json")
-    bundle.validate()
+    load_model(work / "model2.json")
     assert (work / "model2.json").read_bytes() == (work / "model.json").read_bytes()
 
 
@@ -232,6 +232,32 @@ def test_monitor_reads_paths_from_stdin(work, runner):
                           input="\n".join(paths) + "\n")
     assert piped.exit_code == 0
     assert piped.output == direct.output
+
+
+def test_monitor_writes_each_event_before_stdin_closes(work):
+    """A live logger's pipe: the first event comes out while stdin is still open."""
+    first, second = trace_paths(work, "wheel1", max_parts=160)[:2]
+    pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "grindmon.cli", "monitor", "--model", str(work / "model.json")],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": pythonpath})
+    try:
+        proc.stdin.write(first + "\n")
+        proc.stdin.flush()
+        ready, _, _ = select.select([proc.stdout], [], [], 60)
+        assert ready, "no event within 60 s while stdin stayed open"
+        assert json.loads(proc.stdout.readline())["unit_id"] == Path(first).stem
+        proc.stdin.write(second + "\n")
+        proc.stdin.close()
+        rest = proc.stdout.read()
+        assert proc.wait(60) == 0, proc.stderr.read()
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+        proc.stderr.close()
+    assert [json.loads(line)["unit_id"] for line in rest.splitlines()] == [Path(second).stem]
 
 
 def test_monitor_is_replay_deterministic(work, runner):

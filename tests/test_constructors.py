@@ -5,8 +5,13 @@ and nothing else; a TypeError or OverflowError from deep inside numpy would
 escape it.  Starting from a valid object's fields, every odd value below is
 tried in every field, and a property replaces any fields together; each time
 the constructor must succeed or raise one of the two.
+
+REFUSED is the other half: for every init field of every constructor, values
+that field's own check refuses.  Deleting any one field check lets one of
+them through, and a field added without an entry fails the test too.
 """
 
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -22,9 +27,11 @@ from grindmon import (
     MonitorConfig,
     PcaModel,
     PowerTrace,
+    ScenarioPreset,
     TraceMatrix,
     WheelScenario,
 )
+from grindmon import lda, monitor, pca, pipeline, simulate, traces
 from grindmon.errors import GrindmonError
 from grindmon.monitor import MonitorState
 
@@ -34,6 +41,7 @@ PCA = PcaModel(mean=np.zeros(2), loadings=np.array([[1.0], [0.0]]),
 LDA = LdaModel(direction=np.array([1.0]), class_means_ld=(-4.0, 2.0), threshold=1.0,
                priors=(0.5, 0.5), ridge=0.0)
 CONFIG = MonitorConfig()
+WHEEL = WheelScenario("w", ((0, 1),), 1200)
 
 VALID = {  # a constructor and keyword arguments it accepts
     PowerTrace: dict(unit_id="u", wheel_id="w", parts_ground=0, burn_rank=None,
@@ -51,6 +59,58 @@ VALID = {  # a constructor and keyword arguments it accepts
     ModelBundle: dict(resample_length=2, pca=PCA, lda=LDA, monitor_config=CONFIG,
                       training_fingerprint="0" * 64),
     MonitorState: dict(state="Healthy", warning_limit=0.0, consecutive_above=0, history=()),
+    ScenarioPreset: dict(name="p", wheels=(WHEEL,)),
+}
+
+REFUSED = {  # (constructor, init field): values that field alone refuses, all else valid
+    (PowerTrace, "unit_id"): [None, " u", "u\n"],
+    (PowerTrace, "wheel_id"): [1, "w\r"],
+    (PowerTrace, "parts_ground"): [-1, 2.5, True],
+    (PowerTrace, "burn_rank"): [0, 4, 2.0],
+    (PowerTrace, "times"): [["0", "1"], [1.0, 0.0], [0.0], [0.0, float("nan")], [0.0, 5e-324]],
+    (PowerTrace, "powers"): [[1.0, float("inf")], [1.0], [[1.0, 2.0]], [1e308, -1e308]],
+    (ManifestEntry, "trace_file"): [None, "a.csv "],
+    (ManifestEntry, "unit_id"): [" u"],
+    (ManifestEntry, "wheel_id"): ["w\n"],
+    (ManifestEntry, "parts_ground"): [-1, "0"],
+    (ManifestEntry, "burn_rank"): [0, True],
+    (CampaignManifest, "entries"): [None, ("x",), (ENTRY, ENTRY),
+                                    (ManifestEntry("b.csv", "v", "w", 5, 1), ENTRY)],
+    (CampaignManifest, "base_dir"): [None, 1],
+    (TraceMatrix, "values"): [np.zeros((0, 2)), np.zeros(2), [[0.0, float("nan")]], [["0", "1"]]],
+    (TraceMatrix, "meta"): [("x",), (), None],
+    (TraceMatrix, "resample_length"): [2.0, 3, np.float64(2.0), True],
+    (WheelScenario, "wheel_id"): ["", "..", "a/b", " w", 1],
+    (WheelScenario, "checkpoints"): [None, ((1, 1), (0, 1)), ((-1, 1),), ((0,),), ((0.5, 1),)],
+    (WheelScenario, "burn_onset_parts"): [1126, 1200.0, "x"],
+    (WheelScenario, "seed"): ["x", 1.5, None, True],
+    (MonitorConfig, "warning_fraction"): [0.0, 1.0, "x", float("nan")],
+    (MonitorConfig, "hold_count"): [0, 1.5, True],
+    (PcaModel, "mean"): [None, np.zeros(3), [0.0, float("nan")]],
+    (PcaModel, "loadings"): [np.array([[2.0], [0.0]]), np.array([[0.6], [0.6]]),
+                             np.array([[1.0], [float("inf")]])],
+    (PcaModel, "singular_values"): [np.array([-1.0]), np.array([1.0, 0.5])],
+    (PcaModel, "n_train"): ["x", -3, 1, 2.5],
+    (PcaModel, "explained_variance_ratio"): [np.array([2.0]), np.array([-0.1]),
+                                             np.array([0.5, 0.5])],
+    (LdaModel, "direction"): [np.array([2.0]), np.array([float("nan")]), "x"],
+    (LdaModel, "class_means_ld"): [(2.0, -4.0), (1.0,), (0.0, float("inf"))],
+    (LdaModel, "threshold"): [float("nan"), "x"],
+    (LdaModel, "priors"): [(0.3, 0.3), (0.0, 1.0), (1.0,)],
+    (LdaModel, "ridge"): [-1.0, float("inf")],
+    (ModelBundle, "resample_length"): [3, 2.0],
+    (ModelBundle, "pca"): [None, LDA, PcaModel(np.array([1e308, 0.0]), np.array([[1.0], [0.0]]),
+                                              np.array([1.0]), None, None)],
+    (ModelBundle, "lda"): [None, PCA, LdaModel(np.array([0.6, 0.8]), (-4.0, 2.0), 1.0,
+                                                (0.5, 0.5), 0.0)],
+    (ModelBundle, "monitor_config"): [None, {}],
+    (ModelBundle, "training_fingerprint"): [None, 0],
+    (MonitorState, "state"): ["Bogus", None, []],
+    (MonitorState, "warning_limit"): ["x", None],
+    (MonitorState, "consecutive_above"): ["x", None, -5, 2.5],
+    (MonitorState, "history"): [None, 5],
+    (ScenarioPreset, "name"): [None, 1],
+    (ScenarioPreset, "wheels"): [None, "ab", (WHEEL, WHEEL)],
 }
 
 POOL = [  # odd values, each tried in every field of every constructor
@@ -140,3 +200,38 @@ def test_numeric_arrays_take_integers_and_floats_of_any_width():
                           "powers": np.array([1.5, 2.0], dtype=np.float32)})
     assert trace.times.dtype == trace.powers.dtype == np.float64
     assert trace.times.tolist() == [0.0, 1.0] and trace.powers.tolist() == [1.5, 2.0]
+
+
+def refuses(cls, kwargs) -> bool:
+    try:
+        cls(**kwargs)
+    except (GrindmonError, ValueError):
+        return True
+    return False
+
+
+def test_every_checked_constructor_has_valid_fields():
+    """Each grindmon dataclass with a __post_init__ is in VALID (11 today), and its entry builds."""
+    modules = (traces, simulate, pca, lda, monitor, pipeline)
+    checked = {cls for module in modules for cls in vars(module).values()
+               if isinstance(cls, type) and dataclasses.is_dataclass(cls)
+               and "__post_init__" in vars(cls)}
+    assert checked == set(VALID) and len(VALID) == 11
+    for cls, kwargs in VALID.items():
+        cls(**kwargs)
+
+
+@pytest.mark.parametrize("cls", VALID, ids=lambda cls: cls.__name__)
+def test_every_init_field_refuses_its_listed_values(cls):
+    """The oracle for field checks: each init field has refused values, and none is accepted."""
+    unlisted = [f.name for f in dataclasses.fields(cls) if f.init and (cls, f.name) not in REFUSED]
+    assert not unlisted, f"init fields with no REFUSED entry: {unlisted}"
+    accepted = [(field, value) for (c, field), values in REFUSED.items() if c is cls
+                for value in values if not refuses(cls, {**VALID[cls], field: value})]
+    assert not accepted, f"accepted: {accepted}"
+
+
+@pytest.mark.parametrize("value", ["x", None, -5, 2.5])
+def test_consecutive_above_must_be_a_non_negative_integer(value):
+    with pytest.raises(ValueError, match="consecutive_above must be a non-negative integer"):
+        MonitorState("Healthy", 0.0, value)

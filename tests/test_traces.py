@@ -604,7 +604,7 @@ def test_manifest_fingerprint_tracks_content(tmp_path):
     assert m1.fingerprint == CampaignManifest(m1.entries, base_dir=tmp_path).fingerprint
 
 
-# --- one time column per build_matrix call ---
+# --- one shared time column ---
 
 TIME_COLUMN_MODES = ("same", "respelled", "moved", "prefix", "other")
 times_lists = st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=20, unique=True)
@@ -681,9 +681,13 @@ def test_build_matrix_shares_a_read_only_time_array(tmp_path, monkeypatch):
         assert not trace.times.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         b.times[0] = 1.0
-    build_matrix(manifest, 8)  # nothing is kept from one call to the next
-    assert seen[4].times is not d.times
-    assert parse_trace_csv("time_s,power_kw\n0,1\n1,2\n").times.flags.writeable
+    build_matrix(manifest, 8)  # the last column is kept from one call to the next
+    assert seen[4].times is d.times and not seen[4].times.flags.writeable
+    other = parse_trace_csv("time_s,power_kw\n0,1\n1,2\n").times  # a different column
+    assert not other.flags.writeable
+    build_matrix(manifest, 8)  # ... replaced the kept one
+    assert seen[8].times is not d.times and np.array_equal(seen[8].times, d.times)
+    assert not seen[8].times.flags.writeable
 
 
 # --- metadata that a manifest can carry back ---
