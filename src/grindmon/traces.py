@@ -78,8 +78,14 @@ def _float_array(value, name: str) -> np.ndarray:
 
 
 def _read_only(value, name: str) -> np.ndarray:
-    """value as a float array marked read-only; a float array is frozen in place, not copied."""
+    """value as a float array marked read-only, which no writable array can reach through a base.
+
+    A float array that owns its data is frozen in place, not copied.  Any
+    other, such as a view whose base may still be written, is copied first.
+    """
     array = _float_array(value, name)
+    if array.base is not None:
+        array = array.copy()
     array.flags.writeable = False
     return array
 
@@ -103,8 +109,11 @@ def _tuple(value, name: str) -> tuple:
 
 
 def _reduce_through_init(self):
-    """`__reduce__` for a checked dataclass: copy and unpickle call its constructor."""
-    return type(self), tuple(getattr(self, f.name) for f in fields(self))
+    """`__reduce__` for a checked dataclass: copy and unpickle call its constructor.
+
+    Only init fields are passed; the constructor derives the others again.
+    """
+    return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
 
 
 def _csv_text(header, rows) -> str:
@@ -142,7 +151,9 @@ class PowerTrace:
     parts_ground counts units cut by this wheel before this one.  Each power
     step over its time step, and the time span, must be finite too, so every
     value `resample` gives lies, up to rounding, between two neighbouring
-    powers: within max_abs_power, the largest |power|.
+    powers: within max_abs_power, the largest |power|.  Both arrays are
+    read-only (see `_read_only`), so the checks made here hold while the
+    trace exists, and a copy or an unpickled trace is checked again.
     """
 
     unit_id: str
@@ -154,8 +165,8 @@ class PowerTrace:
     max_abs_power: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        times = _float_array(self.times, "times")
-        powers = _float_array(self.powers, "powers")
+        times = _read_only(self.times, "times")
+        powers = _read_only(self.powers, "powers")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "powers", powers)
         if times.ndim != 1 or powers.ndim != 1 or times.shape != powers.shape:
@@ -178,6 +189,8 @@ class PowerTrace:
         object.__setattr__(self, "max_abs_power", float(np.abs(powers).max()))
         _check_metadata(self.parts_ground, self.burn_rank,
                         unit_id=self.unit_id, wheel_id=self.wheel_id)
+
+    __reduce__ = _reduce_through_init
 
     @property
     def n_samples(self) -> int:
@@ -322,7 +335,7 @@ def parse_trace_csv(
     row-numbered errors.  That path's times come from `_time_column`, so
     they are read-only, and a time column equal to the last one parsed is
     not converted again: the trace shares that array.  Powers are always
-    the trace's own, writable array.
+    the trace's own array, read-only like every trace's.
     """
     lines = text.splitlines()
     while lines and not lines[-1].strip():
@@ -401,7 +414,11 @@ def power_limit(length: int) -> float:
     ||x - m||_2 is at most half the largest float.  With orthonormal
     loadings and a unit-norm direction, each PCA score, LD1 and every
     partial sum of either product are at most ||x - m||_2, so scoring
-    cannot overflow.
+    cannot overflow.  The same holds for a trace's powers p scored through
+    `_pull_back`'s P = A^T W without resampling: each column of P has
+    sum |P[:, c]| <= ||W[:, c]||_1 <= sqrt(length), since each row of A
+    holds two weights that sum to 1 and are non-negative up to rounding, so
+    every partial sum of p @ P stays within the largest float over 4.
     """
     return sys.float_info.max / (4.0 * math.sqrt(length))
 
@@ -416,6 +433,22 @@ def _check_length(length) -> None:
         raise BadResampleLength(f"resample length must be >= 2, got {length}")
 
 
+def _check_scorable(trace: PowerTrace, length) -> None:
+    """The one gate for scoring a trace at `length` points, resampled or pulled back.
+
+    A length that is not an integer of at least 2 raises BadResampleLength;
+    a trace whose max_abs_power exceeds power_limit(length) raises
+    UnscorableTrace, so every trace that passes scores without overflow.
+    """
+    _check_length(length)
+    limit = power_limit(length)
+    if not trace.max_abs_power <= limit:
+        raise UnscorableTrace(
+            f"trace {trace.unit_id!r}: largest |power| {trace.max_abs_power!r} kW exceeds"
+            f" {limit!r} kW, the most it can hold to be scored without overflow"
+        )
+
+
 # np.linspace keeping its last grid, keyed on the exact (t0, t1, length), so the
 # traces of a fixed-rate, fixed-length cycle share one grid.  Callers must not
 # write to it; it stays writable since np.interp copies a read-only input on
@@ -426,24 +459,45 @@ _grid = functools.lru_cache(maxsize=1)(np.linspace)
 def resample(trace: PowerTrace, length: int) -> np.ndarray:
     """Power linearly interpolated at `length` equally spaced times.
 
-    The one gate for scoring: a trace whose max_abs_power exceeds
-    power_limit(length) raises UnscorableTrace, so every resampled trace
-    can be scored without overflow.  The grid spans [t_first, t_last]; both
-    endpoint values are preserved exactly, since np.linspace's ends are
-    those times exactly and np.interp returns fp[j] itself where x == xp[j].
-    The grid comes from `_grid`, np.linspace behind a one-entry cache, which
-    reuses the previous call's grid when (t_first, t_last, length) repeats;
-    the result is always a fresh, writable array.
+    `_check_scorable` gates it, so every resampled trace can be scored
+    without overflow.  The grid spans [t_first, t_last]; both endpoint
+    values are preserved exactly, since np.linspace's ends are those times
+    exactly and np.interp returns fp[j] itself where x == xp[j].  The grid
+    comes from `_grid`, np.linspace behind a one-entry cache, which reuses
+    the previous call's grid when (t_first, t_last, length) repeats; the
+    result is always a fresh, writable array.
     """
-    _check_length(length)
-    limit = power_limit(length)
-    if not trace.max_abs_power <= limit:
-        raise UnscorableTrace(
-            f"trace {trace.unit_id!r}: largest |power| {trace.max_abs_power!r} kW exceeds"
-            f" {limit!r} kW, the most it can hold to be scored without overflow"
-        )
+    _check_scorable(trace, length)
     times = trace.times
     return np.interp(_grid(times[0], times[-1], length), times, trace.powers)
+
+
+def _pull_back(times: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """A^T rows: `rows` (L x k, one row per grid point) pulled back to n sample times.
+
+    For fixed times, `resample` to L points is a linear map x = A p, whose
+    row i holds 1 - f and f at the samples j and j + 1 that bracket grid
+    point i.  So resample(trace, L) @ rows equals trace.powers @ _pull_back(
+    trace.times, rows) up to rounding, and a trace scores without being
+    resampled.  j is the whole part of np.interp of the sample indices on
+    `resample`'s grid; f is computed from the times, since the fractional
+    part of that index keeps only about 53 - log2(n) bits.  Per column w,
+    with r = bincount(j, f w), the result is bincount(j, w) - r plus r moved
+    one sample on.  Cost: O(n k + L k).
+    """
+    n = times.size
+    L, k = rows.shape
+    grid = _grid(times[0], times[-1], L)
+    j = np.interp(grid, times, np.arange(n, dtype=float)).astype(np.intp)
+    np.minimum(j, n - 2, out=j)  # the last grid point takes f = 1
+    f = (grid - times[j]) / (times[1:] - times[:-1])[j]
+    pulled = np.empty((n, k))
+    for c in range(k):
+        w = rows[:, c]
+        right = np.bincount(j, f * w, n)
+        pulled[:, c] = np.bincount(j, w, n) - right
+        pulled[1:, c] += right[:-1]
+    return pulled
 
 
 def parse_manifest_csv(text: str, base_dir: Path | str = ".") -> CampaignManifest:

@@ -106,7 +106,7 @@ REFUSED = {  # (constructor, init field): values that field alone refuses, all e
     (ModelBundle, "monitor_config"): [None, {}],
     (ModelBundle, "training_fingerprint"): [None, 0],
     (MonitorState, "state"): ["Bogus", None, []],
-    (MonitorState, "warning_limit"): ["x", None],
+    (MonitorState, "warning_limit"): ["x", None, float("nan"), float("inf"), float("-inf")],
     (MonitorState, "consecutive_above"): ["x", None, -5, 2.5],
     (MonitorState, "history"): [None, 5],
     (ScenarioPreset, "name"): [None, 1],

@@ -4,10 +4,12 @@ import io
 import itertools
 import json
 import pickle
+import sys
+import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from grindmon import (
@@ -23,6 +25,7 @@ from grindmon import (
     PowerTrace,
     ScenarioPreset,
     WheelScenario,
+    classify,
     default_preset,
     fit_bundle,
     fit_matrix,
@@ -35,12 +38,14 @@ from grindmon import (
     model_to_json,
     observe,
     predict_campaign,
+    project,
     resample,
     save_model,
     start_monitor,
     table2_preset,
 )
-from grindmon.errors import CorruptModel, SchemaError, VersionMismatch
+from grindmon import monitor, traces
+from grindmon.errors import BadResampleLength, CorruptModel, SchemaError, VersionMismatch
 from grindmon.monitor import MODEL_FIELDS, STATE_ORDER, MonitorState, _step, _view
 from grindmon.simulate import KNEE
 
@@ -224,10 +229,13 @@ def test_monitor_state_rejects_a_warning_limit_that_is_not_a_number():
 def test_observe_gives_the_events_of_the_scoring_formula_on_2000_wheel2_traces(wheel1_bundle):
     """Each event, and the state after it, as the formula and the public constructors give them.
 
-    LD1 is float(((x - mean) @ loadings) @ direction), bit for bit, with x
-    resampled as first written (np.linspace grid, ends pinned).  observe
-    builds its events and states without their constructors; they must equal
-    what the constructors make.  A hold count of 3 makes the counter move.
+    LD1 lies within 1e-12 (1 + |LD1|) of float(((x - mean) @ loadings) @
+    direction), with x resampled as first written (np.linspace grid, ends
+    pinned): observe scores the powers through the pulled-back model, which
+    rounds differently.  Everything else is exact against the event's own
+    LD1.  observe builds its events and states without their constructors;
+    they must equal what the constructors make.  A hold count of 3 makes the
+    counter move.
     """
     hold = 3
     bundle = dataclasses.replace(wheel1_bundle, monitor_config=MonitorConfig(hold_count=hold))
@@ -239,10 +247,11 @@ def test_observe_gives_the_events_of_the_scoring_formula_on_2000_wheel2_traces(w
         trace = generate_trace(wheel2, parts, 0)
         event, state = observe(state, bundle, trace)
         x = linspace_resample(trace, bundle.resample_length)
-        ld1 = float(((x - pca.mean) @ pca.loadings) @ lda.direction)
+        formula = float(((x - pca.mean) @ pca.loadings) @ lda.direction)
+        ld1 = event.ld1
+        assert type(event) is MonitorEvent and abs(ld1 - formula) <= 1e-12 * (1 + abs(formula))
         label = "Burn" if ld1 >= lda.threshold else "NoBurn"
         name, counter = _step(ref, ld1, lda.threshold, hold)
-        assert type(event) is MonitorEvent and event.ld1.hex() == ld1.hex()
         assert event == MonitorEvent(trace.unit_id, ld1, label, ref.state, name,
                                      name != ref.state, ref.state == BURN)
         records.append((trace.unit_id, ld1, label, name))
@@ -253,6 +262,139 @@ def test_observe_gives_the_events_of_the_scoring_formula_on_2000_wheel2_traces(w
     assert type(state) is MonitorState and state.history == tuple(records)
     assert MonitorState(state.state, state.warning_limit, state.consecutive_above,
                         state.history) == state
+
+
+def _random_bundle(rng, length, k, hold):
+    """A bundle with random orthonormal loadings, mean in [0, 50] and unit direction."""
+    loadings = np.linalg.qr(rng.standard_normal((length, k)))[0]
+    pca = PcaModel(mean=rng.uniform(0.0, 50.0, length), loadings=loadings,
+                   singular_values=np.sort(rng.uniform(1.0, 10.0, k))[::-1], n_train=None,
+                   explained_variance_ratio=None)
+    direction = rng.standard_normal(k)
+    lda = LdaModel(direction=direction / np.linalg.norm(direction), class_means_ld=(-1.0, 1.0),
+                   threshold=0.0, priors=(0.5, 0.5), ridge=0.0)
+    return ModelBundle(resample_length=length, pca=pca, lda=lda,
+                       monitor_config=MonitorConfig(0.5, hold), training_fingerprint="0" * 64)
+
+
+def _random_times(rng, n, start, span):
+    gaps = rng.uniform(0.1, 1.0, n - 1)
+    times = start + span * np.concatenate(([0.0], np.cumsum(gaps) / gaps.sum()))
+    assume(np.all(times[1:] > times[:-1]))
+    return times
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 20000), length=st.integers(2, 700), k=st.integers(1, 4),
+       hold=st.integers(1, 3), start=st.floats(-1e3, 1e3), span=st.floats(1e-3, 1e4),
+       n_bases=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_observe_is_within_rounding_of_resample_project_classify(n, length, k, hold, start,
+                                                                 span, n_bases, seed):
+    """The oracle for scoring on a trace's own time base.
+
+    A stream of white-noise traces (the hardest case for rounding) over a few
+    time bases, some passed as equal but distinct arrays.  Each pulled-back
+    LD1 lies within 1e-12 (1 + |LD1|) of resample -> project -> classify, and
+    the states are that route's until a score lies within the bound of a
+    limit, where the two may part.
+    """
+    rng = np.random.default_rng(seed)
+    assume(k <= length)
+    bundle = _random_bundle(rng, length, k, hold)
+    bases = [_random_times(rng, int(rng.integers(2, n + 1)), start, span)
+             for _ in range(n_bases)]
+    stream = []
+    for i in range(12):
+        times = bases[int(rng.integers(n_bases))]
+        stream.append(PowerTrace(f"u{i}", "w", i, None, times.copy() if rng.random() < 0.3 else times,
+                                 rng.uniform(0.0, 50.0, times.size)))
+    ref_ld1 = [classify(bundle.lda, project(bundle.pca, resample(t, length)))[0] for t in stream]
+    # limits that the stream straddles, so states move; LD1 keeps its direction
+    low, high = min(ref_ld1), max(ref_ld1)
+    threshold = low + 0.75 * (high - low)
+    lda = LdaModel(direction=bundle.lda.direction, class_means_ld=(low - 1.0, threshold + 1.0),
+                   threshold=threshold, priors=(0.5, 0.5), ridge=0.0)
+    bundle = dataclasses.replace(bundle, lda=lda)
+    state = ref = start_monitor(bundle)
+    limits = (ref.warning_limit, threshold)
+    for trace, ld1 in zip(stream, ref_ld1):
+        bound = 1e-12 * (1 + abs(ld1))
+        event, state = observe(state, bundle, trace)
+        assert abs(event.ld1 - ld1) <= bound
+        if any(abs(ld1 - limit) <= bound for limit in limits):
+            break
+        name, counter = _step(ref, ld1, threshold, hold)
+        ref = MonitorState(name, ref.warning_limit, counter)
+        assert (event.state, state.state, state.consecutive_above) == (name, name, counter)
+
+
+def test_a_score_does_not_depend_on_what_was_scored_before(wheel1_bundle, monkeypatch):
+    bundle = wheel1_bundle
+    wheel2 = table2_preset(seed=42).wheel("wheel2")
+    trace = generate_trace(wheel2, 700, 0)
+    other_base = PowerTrace("o", "w", 0, None, trace.times * 0.5 + 3.0, trace.powers)
+    equal_times = PowerTrace("e", "w", 0, None, trace.times.copy(), trace.powers)
+    state = start_monitor(bundle)
+
+    def ld1_hex(t):
+        return observe(state, bundle, t)[0].ld1.hex()
+
+    monkeypatch.setattr(monitor, "_pulled_back", (None, None, None, None))
+    traces._grid.cache_clear()
+    cold = ld1_hex(trace)
+    assert ld1_hex(trace) == cold  # warm
+    ld1_hex(other_base)
+    assert ld1_hex(trace) == cold  # after another time base
+    assert ld1_hex(equal_times) == cold  # an equal but distinct times array
+    assert monitor._pulled_back[0] is equal_times.times
+    ld1_hex(generate_trace(wheel2, 0, 0))
+    assert ld1_hex(trace) == cold
+
+
+def test_threads_sharing_the_memo_score_as_one_thread_does(wheel1_bundle):
+    """observe's memo is one tuple read once, so no thread pairs its times with another's P."""
+    wheel2 = table2_preset(seed=42).wheel("wheel2")
+    bundles = [wheel1_bundle, _random_bundle(np.random.default_rng(5), 512, 2, 1)]
+    traces_ = []
+    for i, parts in enumerate((0, 500, 1000, 1500)):
+        trace = generate_trace(wheel2, parts, 0)
+        traces_.append(PowerTrace(f"u{i}", "w", parts, None, trace.times * (1 + i / 7) + i,
+                                  trace.powers))
+    jobs = [(b, t) for b in range(len(bundles)) for t in range(len(traces_))]
+
+    def ld1_hex(b, t):
+        bundle = bundles[b]
+        return observe(start_monitor(bundle), bundle, traces_[t])[0].ld1.hex()
+
+    expected = {job: ld1_hex(*job) for job in jobs}
+    wrong = []
+
+    def work(seed):
+        order = np.random.default_rng(seed).integers(len(jobs), size=300)
+        wrong.extend(jobs[i] for i in order if ld1_hex(*jobs[i]) != expected[jobs[i]])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=work, args=(seed,)) for seed in range(6)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert not wrong
+
+
+def test_observe_refuses_a_bundle_of_resample_length_1():
+    pca = PcaModel(mean=np.zeros(1), loadings=np.ones((1, 1)), singular_values=np.ones(1),
+                   n_train=None, explained_variance_ratio=None)
+    lda = LdaModel(direction=np.ones(1), class_means_ld=(-1.0, 1.0), threshold=0.0,
+                   priors=(0.5, 0.5), ridge=0.0)
+    bundle = ModelBundle(1, pca, lda, MonitorConfig(), "0" * 64)
+    with pytest.raises(BadResampleLength, match="must be >= 2"):
+        observe(start_monitor(bundle), bundle, trace_of(0.5))
 
 
 def test_monitor_config_rejects_bool_hold_count():

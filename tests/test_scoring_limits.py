@@ -109,15 +109,12 @@ def test_observe_rejects_a_trace_beyond_the_power_limit(wheel1_bundle):
         assert np.isfinite(event.ld1)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="a trace's arrays stay writable, so an edit made after the checks"
-                          " reaches the scores; ROADMAP.md names the fix")
 def test_a_trace_edited_after_it_is_made_cannot_score_nan(wheel1_bundle):
     """An edit to a made trace is refused, or the trace is refused, or LD1 stays finite.
 
     PowerTrace checks max_abs_power and every slope once, when made.  Opposite
-    huge powers written into its arrays afterwards give an infinite slope,
-    which np.interp turns into NaN.
+    huge powers written into its arrays afterwards would give an infinite
+    slope; its arrays are read-only, so the edit itself raises.
     """
     trace = generate_trace(table2_preset(seed=42).wheel("wheel2"), 0, 0)
     try:

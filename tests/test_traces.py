@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import math
+import pickle
 import tempfile
 from pathlib import Path
 
@@ -257,6 +259,33 @@ def test_trace_validation():
         make_trace([0.0, 0.05], [1.0, np.inf])
     with pytest.raises(Exception):
         make_trace([0.0, 0.05], [1.0, 2.0], burn_rank=4)
+
+
+def test_a_trace_is_read_only_and_no_writable_base_reaches_it():
+    owned = np.array([1.0, 1.5, 2.0, 2.5, 3.0, 3.5])
+    base = np.arange(8) * 0.05
+    trace = make_trace(base[1:7], owned)
+    assert trace.powers is owned  # frozen in place, not copied
+    assert not trace.times.flags.writeable and not trace.powers.flags.writeable
+    base[:] = -1.0  # the view it was given is copied, so this does not reach it
+    assert trace.times.tolist() == (np.arange(1, 7) * 0.05).tolist()
+    with pytest.raises(ValueError, match="read-only"):
+        trace.powers[0] = 1e308
+
+
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
+                                   lambda t: pickle.loads(pickle.dumps(t))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_a_copied_or_unpickled_trace_is_equal_and_read_only(clone):
+    trace = generate_trace(default_preset(3).wheel("wheel2"), 400, 0)
+    again = clone(trace)
+    assert type(again) is PowerTrace
+    for f in dataclasses.fields(PowerTrace):
+        value, expected = getattr(again, f.name), getattr(trace, f.name)
+        if isinstance(expected, np.ndarray):
+            assert value.tobytes() == expected.tobytes() and not value.flags.writeable
+        else:
+            assert value == expected, f.name
 
 
 def test_label_from_rank():
