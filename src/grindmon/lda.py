@@ -31,8 +31,8 @@ class LdaModel:
 
     class_means_ld is (mu_noburn, mu_burn) on LD1 with mu_burn > mu_noburn;
     scores at or above threshold classify as Burn.  A model checks itself
-    when made and holds a read-only direction, so it stays valid while it
-    exists.
+    when made and holds an immutable copy of its direction (see
+    `_read_only`), so it stays valid while it exists.
     """
 
     direction: np.ndarray

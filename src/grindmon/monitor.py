@@ -117,8 +117,11 @@ class ModelBundle:
         parts = (self.pca, self.lda, self.monitor_config)
         if not all(map(isinstance, parts, (PcaModel, LdaModel, MonitorConfig))):
             raise ValueError("a bundle needs a PcaModel, an LdaModel and a MonitorConfig")
-        if not _is_integer(self.resample_length) or not isinstance(self.training_fingerprint, str):
-            raise ValueError("resample_length must be an integer and training_fingerprint a string")
+        length = self.resample_length
+        if not _is_integer(length) or length < 2:
+            raise ValueError(f"resample_length must be an integer of at least 2, got {length!r}")
+        if not isinstance(self.training_fingerprint, str):
+            raise ValueError("training_fingerprint must be a string")
         if self.pca.n_variables != self.resample_length:
             raise CorruptModel(
                 f"PCA has {self.pca.n_variables} variables but resample_length"
@@ -295,28 +298,10 @@ def _step(state: MonitorState, ld1: float, threshold: float, hold_count: int) ->
 
 
 # observe's one-slot memo: (times, bundle, P, c) for the last time base it
-# scored.  One tuple, replaced in one assignment and read once, so a reader
-# never pairs one trace's times with another's P.
+# scored, keyed on identity, as a trace's times never change.  One tuple,
+# replaced in one assignment and read once, so a reader never pairs one
+# trace's times with another's P.
 _pulled_back = (None, None, None, None)
-
-
-def _pull_back_model(times: np.ndarray, bundle: ModelBundle, memo: tuple) -> tuple:
-    """The memo for (times, bundle): P = A^T loadings and c = -mean @ loadings.
-
-    c depends on the bundle alone, and times equal to the memo's, in a
-    distinct array, reuse its P too; the last samples are compared first,
-    so a new time base rarely pays for a full comparison.
-    """
-    global _pulled_back
-    pca = bundle.pca
-    if memo[1] is not bundle:
-        memo = (times, bundle, _pull_back(times, pca.loadings), -(pca.mean @ pca.loadings))
-    elif memo[0][-1] == times[-1] and np.array_equal(memo[0], times):
-        memo = (times, bundle, memo[2], memo[3])
-    else:
-        memo = (times, bundle, _pull_back(times, pca.loadings), memo[3])
-    _pulled_back = memo
-    return memo
 
 
 def observe(
@@ -329,19 +314,23 @@ def observe(
     computes them as p @ P + c, with P = A^T W and c = -m @ W built once per
     (times array, bundle) and kept in a one-slot memo.  The memo only saves
     the build, so a score does not depend on it; a stream whose traces
-    share one read-only times array is scored fastest.  The scores agree
-    with resample -> project up to rounding, about 1e-14 on LD1.
+    were made in a row on one time base shares one times array and is
+    scored fastest.  The scores agree with resample -> project up to
+    rounding, about 1e-14 on LD1.
 
     Observations after Burn are accepted but flagged post-failure.  A trace
     that `resample`'s gate refuses raises its UnscorableTrace, and the state
     does not move; any trace it accepts scores to a finite LD1 against any
     bundle, since a bundle checks itself when made.
     """
+    global _pulled_back
     _check_scorable(trace, bundle.resample_length)
     times = trace.times
     memo = _pulled_back
     if memo[0] is not times or memo[1] is not bundle:
-        memo = _pull_back_model(times, bundle, memo)
+        pca = bundle.pca
+        memo = _pulled_back = (times, bundle, _pull_back(times, pca.loadings),
+                               -(pca.mean @ pca.loadings))
     lda = bundle.lda
     ld1, label = classify(lda, trace.powers @ memo[2] + memo[3])
     prev = state.state

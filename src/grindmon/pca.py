@@ -25,8 +25,8 @@ class PcaModel:
 
     explained_variance_ratio and n_train describe the fit and are None on
     models rebuilt from a persisted file, which stores only what projection
-    needs.  A model checks itself when made and holds its arrays
-    read-only, so it stays valid while it exists.
+    needs.  A model checks itself when made and holds immutable copies of
+    its arrays (see `_read_only`), so it stays valid while it exists.
     """
 
     mean: np.ndarray
@@ -163,7 +163,7 @@ def truncate(model: PcaModel, k: int) -> PcaModel:
     evr = model.explained_variance_ratio
     return PcaModel(
         mean=model.mean,
-        loadings=model.loadings[:, :k].copy(),
+        loadings=model.loadings[:, :k],
         singular_values=model.singular_values[:k],
         n_train=model.n_train,
         explained_variance_ratio=None if evr is None else evr[:k],

@@ -231,7 +231,7 @@ def generate_campaign(preset: ScenarioPreset, out_dir) -> CampaignManifest:
 
     Layout under out_dir: <wheel_id>/<unit_id>.csv for traces,
     <wheel_id>-manifest.csv per wheel, manifest.csv for the whole preset.
-    Returns the combined manifest.  Every trace shares _TIMES, so
+    Returns the combined manifest.  Every trace holds the times of _TIMES, so
     serialize_trace_csv formats that column once for the whole campaign.
     """
     out = Path(out_dir)

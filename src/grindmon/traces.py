@@ -78,16 +78,20 @@ def _float_array(value, name: str) -> np.ndarray:
 
 
 def _read_only(value, name: str) -> np.ndarray:
-    """value as a float array marked read-only, which no writable array can reach through a base.
+    """A read-only float copy of value, over a `bytes` object of its own.
 
-    A float array that owns its data is frozen in place, not copied.  Any
-    other, such as a view whose base may still be written, is copied first.
+    numpy never makes an array over `bytes` writable, so neither a view of
+    value taken beforehand nor a later `flags.writeable = True` can change
+    the copy; value itself is left as it was.
     """
     array = _float_array(value, name)
-    if array.base is not None:
-        array = array.copy()
-    array.flags.writeable = False
-    return array
+    return np.frombuffer(array.tobytes()).reshape(array.shape)
+
+
+# np.frombuffer keeping its last array, keyed on the exact bytes of a time base,
+# so traces made one after another on one time base share one read-only array.
+# Bytes, not values, are the key: times -0.0 and 0.0 stay two arrays.
+_shared_times = functools.lru_cache(maxsize=1)(np.frombuffer)
 
 
 def _real(value, name: str) -> float:
@@ -152,8 +156,10 @@ class PowerTrace:
     step over its time step, and the time span, must be finite too, so every
     value `resample` gives lies, up to rounding, between two neighbouring
     powers: within max_abs_power, the largest |power|.  Both arrays are
-    read-only (see `_read_only`), so the checks made here hold while the
-    trace exists, and a copy or an unpickled trace is checked again.
+    immutable copies (see `_read_only`), so the checks made here hold while
+    the trace exists, and a copy or an unpickled trace is checked again.
+    times come from `_shared_times`: traces made one after another with
+    bit-equal times share one array, whatever made them.
     """
 
     unit_id: str
@@ -165,12 +171,13 @@ class PowerTrace:
     max_abs_power: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        times = _read_only(self.times, "times")
+        times = _float_array(self.times, "times")
         powers = _read_only(self.powers, "powers")
+        if times.ndim != 1 or times.shape != powers.shape:  # before np.frombuffer flattens it
+            raise ValueError("times and powers must be 1-d arrays of equal length")
+        times = _shared_times(times.tobytes())
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "powers", powers)
-        if times.ndim != 1 or powers.ndim != 1 or times.shape != powers.shape:
-            raise ValueError("times and powers must be 1-d arrays of equal length")
         if times.size < 2:
             raise TooFewSamples("a trace needs at least 2 samples")
         if not (times[1:] > times[:-1]).all():
@@ -300,14 +307,13 @@ class TraceMatrix:
 
 @functools.lru_cache(maxsize=1)
 def _time_column(text: str) -> np.ndarray:
-    """The comma-joined time fields `text` as a read-only float array.
+    """The comma-joined time fields `text` as a float array.
 
     The last column is kept, keyed on its exact text, so the traces of a
-    fixed-rate campaign share one array and convert their times once.
+    fixed-rate campaign convert their times once.  Callers must not write
+    to it; PowerTrace copies it.
     """
-    times = np.fromiter(map(float, text.split(",")), float)
-    times.flags.writeable = False
-    return times
+    return np.fromiter(map(float, text.split(",")), float)
 
 
 def parse_trace_csv(
@@ -332,10 +338,9 @@ def parse_trace_csv(
     their join; when every row holds exactly one comma, the two columns are
     converted straight into arrays and PowerTrace checks them.  Anything
     that path rejects goes to a row-by-row loop, which alone raises the
-    row-numbered errors.  That path's times come from `_time_column`, so
-    they are read-only, and a time column equal to the last one parsed is
-    not converted again: the trace shares that array.  Powers are always
-    the trace's own array, read-only like every trace's.
+    row-numbered errors.  That path's times come from `_time_column`, so a
+    time column equal to the last one parsed is not converted again; that
+    traces share one times array is PowerTrace's doing.
     """
     lines = text.splitlines()
     while lines and not lines[-1].strip():

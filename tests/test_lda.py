@@ -292,3 +292,13 @@ def test_model_rejects_a_bad_field_when_made(field, value, message):
     LdaModel(**valid)
     with pytest.raises(ValueError, match=message):
         LdaModel(**{**valid, field: value})
+
+
+def test_model_direction_is_a_copy_that_cannot_be_made_writable():
+    direction = np.array([0.6, 0.8])
+    model = LdaModel(direction=direction, class_means_ld=(-4.0, 2.0), threshold=1.0,
+                     priors=(0.5, 0.5), ridge=0.0)
+    direction[0] = 1e308
+    assert model.direction.tolist() == [0.6, 0.8]
+    with pytest.raises(ValueError):
+        model.direction.flags.writeable = True

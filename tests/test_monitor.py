@@ -45,7 +45,7 @@ from grindmon import (
     table2_preset,
 )
 from grindmon import monitor, traces
-from grindmon.errors import BadResampleLength, CorruptModel, SchemaError, VersionMismatch
+from grindmon.errors import CorruptModel, SchemaError, VersionMismatch
 from grindmon.monitor import MODEL_FIELDS, STATE_ORDER, MonitorState, _step, _view
 from grindmon.simulate import KNEE
 
@@ -387,14 +387,19 @@ def test_threads_sharing_the_memo_score_as_one_thread_does(wheel1_bundle):
     assert not wrong
 
 
-def test_observe_refuses_a_bundle_of_resample_length_1():
+def test_a_bundle_of_resample_length_1_is_refused_when_made_and_loaded():
+    """observe cannot score a trace at one point, so no such bundle is made or loaded."""
     pca = PcaModel(mean=np.zeros(1), loadings=np.ones((1, 1)), singular_values=np.ones(1),
                    n_train=None, explained_variance_ratio=None)
     lda = LdaModel(direction=np.ones(1), class_means_ld=(-1.0, 1.0), threshold=0.0,
                    priors=(0.5, 0.5), ridge=0.0)
-    bundle = ModelBundle(1, pca, lda, MonitorConfig(), "0" * 64)
-    with pytest.raises(BadResampleLength, match="must be >= 2"):
-        observe(start_monitor(bundle), bundle, trace_of(0.5))
+    message = "resample_length must be an integer of at least 2, got 1"
+    with pytest.raises(ValueError, match=message):
+        ModelBundle(1, pca, lda, MonitorConfig(), "0" * 64)
+    doc = json.loads(model_to_json(identity_bundle()))
+    doc.update(resample_length=1, mean=[0.0], loadings=[[1.0]])
+    with pytest.raises(CorruptModel, match=message):
+        load_model(json.dumps(doc).encode("utf-8"))
 
 
 def test_monitor_config_rejects_bool_hold_count():

@@ -239,10 +239,16 @@ def test_model_rejects_a_non_finite_field_when_made(field, bad):
         _identity_pca(**{field: value})
 
 
-def test_model_freezes_its_arrays_without_copying():
+def test_model_holds_read_only_copies_and_leaves_the_callers_arrays_alone():
     mean = np.zeros(2)
-    model = _identity_pca(mean=mean)
-    assert model.mean is mean
-    for array in (mean, model.loadings, model.singular_values):
+    loadings = np.array([[1.0], [0.0]])
+    model = _identity_pca(mean=mean, loadings=loadings)
+    assert model.mean is not mean and mean.flags.writeable and loadings.flags.writeable
+    mean[0] = loadings[1, 0] = 5.0  # the caller's arrays stay theirs to write
+    assert model.mean.tolist() == [0.0, 0.0] and model.loadings.tolist() == [[1.0], [0.0]]
+    for array in (model.mean, model.loadings, model.singular_values):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1.0
+    for array in (model.loadings, model.loadings.T, model.loadings[0]):
+        with pytest.raises(ValueError):
+            array.flags.writeable = True

@@ -262,15 +262,41 @@ def test_trace_validation():
 
 
 def test_a_trace_is_read_only_and_no_writable_base_reaches_it():
-    owned = np.array([1.0, 1.5, 2.0, 2.5, 3.0, 3.5])
+    a = np.arange(6.0)
+    v = a[:]  # a view taken before the trace is made
     base = np.arange(8) * 0.05
-    trace = make_trace(base[1:7], owned)
-    assert trace.powers is owned  # frozen in place, not copied
-    assert not trace.times.flags.writeable and not trace.powers.flags.writeable
-    base[:] = -1.0  # the view it was given is copied, so this does not reach it
+    trace = make_trace(base[1:7], a)
+    v[2], v[3] = 1.7e308, -1.7e308
+    base[:] = -1.0
+    assert trace.powers.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+    assert trace.max_abs_power == 5.0
     assert trace.times.tolist() == (np.arange(1, 7) * 0.05).tolist()
-    with pytest.raises(ValueError, match="read-only"):
-        trace.powers[0] = 1e308
+    assert a.flags.writeable and base.flags.writeable  # the caller's arrays are left alone
+    for array in (trace.times, trace.powers):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1e308
+        with pytest.raises(ValueError):
+            array.flags.writeable = True
+
+
+def test_traces_made_in_a_row_on_equal_times_share_one_array():
+    times = [0.0, 0.05, 0.1]
+    first = make_trace(np.array(times), [1.0, 2.0, 3.0])
+    second = make_trace(np.array(times), [4.0, 5.0, 6.0])
+    assert second.times is first.times
+    # the key is the exact bits: -0.0 equals 0.0 but is printed apart
+    negative = make_trace(np.array([-0.0, 0.05, 0.1]), [1.0, 2.0, 3.0])
+    positive = make_trace(np.array(times), [1.0, 2.0, 3.0])
+    assert negative.times is not positive.times
+    assert serialize_trace_csv(negative).splitlines()[1] == "-0.0,1.0"
+    assert serialize_trace_csv(positive).splitlines()[1] == "0.0,1.0"
+
+
+def test_a_two_dimensional_times_array_is_refused():
+    with pytest.raises(ValueError, match="times and powers must be 1-d arrays of equal length"):
+        make_trace([[0.0, 0.05], [0.1, 0.15]], [[1.0, 2.0], [3.0, 4.0]])
+    with pytest.raises(ValueError, match="times and powers must be 1-d arrays of equal length"):
+        make_trace([[0.0, 0.05, 0.1, 0.15]], [1.0, 2.0, 3.0, 4.0])
 
 
 @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
