@@ -44,7 +44,7 @@ class BadResampleLength(GrindmonError):
 
 
 class UnscorableTrace(GrindmonError):
-    """A trace's powers are too large to resample and score without overflow."""
+    """A matrix given to score_matrix holds a NaN or an entry beyond POWER_LIMIT."""
 
 
 class EmptyCampaign(GrindmonError):

@@ -125,7 +125,10 @@ def fit_lda(
     """Fit the Fisher discriminant to an n x k score matrix and class labels.
 
     Sw uses the pooled (n - 2) denominator and is regularized as
-    Sw + ridge * (trace(Sw) / k) * I before inversion.  priors default to
+    Sw + ridge * (trace(Sw) / k) * I before inversion; ridge must be a
+    finite, non-negative real number.  A ridge that makes the regularized
+    scatter overflow, or a direction that underflows to zero, raises
+    ValueError naming the ridge.  priors default to
     the training class proportions; given ones must be a pair of positive,
     finite real numbers and are scaled to sum to 1.  The threshold is the
     projected-mean midpoint shifted by
@@ -136,15 +139,19 @@ def fit_lda(
         scores = scores[:, None]
     n, k = scores.shape
     noburn, burn = _split_classes(scores, labels)
-    if ridge < 0:
-        raise ValueError("ridge must be non-negative")
+    ridge = _real(ridge, "ridge")
+    if not 0.0 <= ridge < math.inf:
+        raise ValueError(f"ridge must be finite and non-negative, got {ridge!r}")
 
     mu_n = noburn.mean(axis=0)
     mu_b = burn.mean(axis=0)
     centered_n = noburn - mu_n
     centered_b = burn - mu_b
     sw = (centered_n.T @ centered_n + centered_b.T @ centered_b) / (n - 2)
-    sw_reg = sw + ridge * (np.trace(sw) / k) * np.eye(k)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sw_reg = sw + ridge * (np.trace(sw) / k) * np.eye(k)
+    if np.isfinite(sw).all() and not np.isfinite(sw_reg).all():
+        raise ValueError(f"ridge {ridge!r} makes the regularized within-class scatter overflow")
 
     delta = mu_b - mu_n
     if not np.any(delta):
@@ -158,6 +165,11 @@ def fit_lda(
     if not np.all(np.isfinite(raw)):
         raise SingularWithinScatter("within-class scatter numerically singular")
 
+    largest = np.abs(raw).max()
+    if largest == 0.0:
+        raise ValueError(f"the discriminant direction underflows to zero with ridge {ridge!r}:"
+                         " the class means are too close for the within-class scatter")
+    raw = np.ldexp(raw, -math.frexp(largest)[1])  # exact, so the norm neither over- nor underflows
     direction = raw / np.linalg.norm(raw)
     mu_b_ld = float(direction @ mu_b)
     mu_n_ld = float(direction @ mu_n)
@@ -184,7 +196,7 @@ def fit_lda(
         class_means_ld=(mu_n_ld, mu_b_ld),
         threshold=float(threshold),
         priors=(p_n, p_b),
-        ridge=float(ridge),
+        ridge=ridge,
     )
 
 

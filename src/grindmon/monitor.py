@@ -7,8 +7,9 @@ drives a three-state machine Healthy -> Warning -> Burn through the pure
 `_step`.  States never move backward within a run: wear is irreversible for
 one wheel, and a fresh wheel gets a fresh MonitorState.  The machine advances
 at most one state per observation, so a Warning alert always lands before the
-state can escalate to Burn.  observe has no input rule of its own: the gate
-that `resample` uses refuses a trace whose scoring could overflow.
+state can escalate to Burn.  observe has no input rule of its own: a trace
+and a bundle each check POWER_LIMIT when made, so every trace scores against
+every bundle without overflow.
 
 A trained model ships as a single self-contained text document (canonical
 JSON: sorted keys, shortest round-trip floats), so save -> load -> save is
@@ -35,14 +36,13 @@ from .errors import CorruptModel, SchemaError, VersionMismatch
 from .lda import LdaModel, classify
 from .pca import PcaModel
 from .traces import (
+    POWER_LIMIT,
     PowerTrace,
-    _check_scorable,
     _is_integer,
     _pull_back,
     _real,
     _reduce_through_init,
     _tuple,
-    power_limit,
 )
 
 FORMAT_VERSION = 1
@@ -132,10 +132,9 @@ class ModelBundle:
                 f"LDA direction has {self.lda.n_components} components but PCA"
                 f" keeps {self.pca.n_components}"
             )
-        limit = power_limit(self.resample_length)
-        if not np.abs(self.pca.mean).max() <= limit:
+        if not np.abs(self.pca.mean).max() <= POWER_LIMIT:
             raise CorruptModel(
-                f"PCA mean exceeds {limit!r} in magnitude, so scoring could overflow"
+                f"PCA mean exceeds {POWER_LIMIT!r} in magnitude, so scoring could overflow"
             )
 
     __reduce__ = _reduce_through_init
@@ -318,13 +317,11 @@ def observe(
     scored fastest.  The scores agree with resample -> project up to
     rounding, about 1e-14 on LD1.
 
-    Observations after Burn are accepted but flagged post-failure.  A trace
-    that `resample`'s gate refuses raises its UnscorableTrace, and the state
-    does not move; any trace it accepts scores to a finite LD1 against any
-    bundle, since a bundle checks itself when made.
+    Observations after Burn are accepted but flagged post-failure.  observe
+    checks nothing: every trace scores to a finite LD1 against every bundle,
+    since each checks POWER_LIMIT when made.
     """
     global _pulled_back
-    _check_scorable(trace, bundle.resample_length)
     times = trace.times
     memo = _pulled_back
     if memo[0] is not times or memo[1] is not bundle:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ManifestError, UnscorableTrace
+from .errors import BadComponentCount, ManifestError, UnscorableTrace
 from .lda import DEFAULT_RIDGE, HealthVerdict, classify, fit_lda
 from .monitor import ModelBundle, MonitorConfig
 from .pca import fit_pca, project, truncate
@@ -22,10 +22,12 @@ from .traces import (
     DEFAULT_RESAMPLE_LENGTH,
     LABEL_BURN,
     LABEL_NOBURN,
+    POWER_LIMIT,
     CampaignManifest,
     _csv_text,
+    _is_integer,
+    _real,
     build_matrix,
-    power_limit,
 )
 
 DEFAULT_VARIANCE_TARGET = 0.95
@@ -76,7 +78,9 @@ def fit_matrix(
     L becomes the bundle's resample length.  The component count is
     `components` when given, else the smallest count reaching
     `variance_target` (default 0.95) cumulative variance, capped at n - 2 so
-    the two-class scatter stays estimable.  Reads no files.
+    the two-class scatter stays estimable.  components must be an integer
+    (not a bool) and variance_target a real number; neither is converted.
+    Reads no files.
 
     A matrix too large to fit without overflow is fitted as X * 2**-k; the
     mean, singular values, LD1 class means and threshold are then scaled
@@ -84,14 +88,17 @@ def fit_matrix(
     """
     if components is not None and variance_target is not None:
         raise ValueError("pass components or variance_target, not both")
+    if components is not None and not _is_integer(components):
+        raise BadComponentCount(f"components must be an integer, got {components!r}")
+    target = (DEFAULT_VARIANCE_TARGET if variance_target is None
+              else _real(variance_target, "variance_target"))
     labels = list(labels)
     X = np.asarray(X, dtype=float)
     shift = _overflow_shift(X)
     X = np.ldexp(X, -shift) if shift else X
     if components is not None:
-        pca = fit_pca(X, int(components))
+        pca = fit_pca(X, components)
     else:
-        target = DEFAULT_VARIANCE_TARGET if variance_target is None else float(variance_target)
         pca = fit_pca(X, target)
         pca = truncate(pca, min(pca.n_components, max(1, pca.n_train - 2)))
 
@@ -119,20 +126,18 @@ def fit_matrix(
 def score_matrix(bundle: ModelBundle, X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """PCA scores (n x k), LD1 and labels for every row of an n x L trace matrix.
 
-    The matrix half of `resample`'s gate: a matrix holding a NaN or an
-    |entry| beyond power_limit(bundle.resample_length) raises
-    UnscorableTrace naming the first such row, counted from 0.  A
-    build_matrix matrix never does.
+    A matrix holding a NaN or an |entry| beyond POWER_LIMIT raises
+    UnscorableTrace naming the first such row, counted from 0; a PowerTrace
+    holds no such power, so a build_matrix matrix never does.
     """
     X = np.asarray(X, dtype=float)
-    limit = power_limit(bundle.resample_length)
-    within = np.abs(X) <= limit  # False for NaN
+    within = np.abs(X) <= POWER_LIMIT  # False for NaN
     if not within.all():
         i = int(np.argmin(within.all(axis=-1)))
         largest = np.abs(X[i] if X.ndim > 1 else X).max()
         raise UnscorableTrace(
             f"matrix row {i}: largest |power| {float(largest)!r} kW is not within"
-            f" {limit!r} kW, the most it can hold to be scored without overflow"
+            f" {POWER_LIMIT!r} kW, the most it can hold to be scored without overflow"
         )
     scores = project(bundle.pca, X)
     return (scores, *classify(bundle.lda, scores))

@@ -2,9 +2,9 @@
 
 A trace is the motor power (kW) recorded at fixed intervals while one unit
 is ground.  Traces of differing duration are aligned onto a fixed number of
-variables by linear-interpolation resampling before any statistics are run;
-resampling also refuses a trace too large to score.  Parsing is strict: bad
-sensor data is rejected, never repaired.
+variables by linear-interpolation resampling before any statistics are run.
+A trace holds no power beyond POWER_LIMIT, so every trace can be scored.
+Parsing is strict: bad sensor data is rejected, never repaired.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .errors import (
     NonMonotoneTime,
     NonNumericField,
     TooFewSamples,
-    UnscorableTrace,
 )
 
 TRACE_HEADER = "time_s,power_kw"
@@ -44,6 +43,22 @@ LABEL_NOBURN = "NoBurn"
 LABEL_BURN = "Burn"
 
 DEFAULT_RESAMPLE_LENGTH = 512
+
+# The largest |power| a trace, a model mean or a scored matrix entry may hold,
+# in kW.  It lets any of them be scored at any length L without overflow.
+# numpy cannot hold 2**60 float64 values in one array, so every grid and
+# loadings length has sqrt(L) < 2**30, and POWER_LIMIT * sqrt(L) is below the
+# largest float over 4.  A resampled trace x stays within the trace's largest
+# |power|, up to rounding; so with every |entry| of a model mean m within
+# POWER_LIMIT too, ||x - m||_2 is at most half the largest float.  With
+# orthonormal loadings and a unit-norm direction, each PCA score, LD1 and
+# every partial sum of either product are at most ||x - m||_2.  The same
+# holds for a trace's powers p scored through `_pull_back`'s P = A^T W
+# without resampling: each column of P has sum |P[:, c]| <= ||W[:, c]||_1 <=
+# sqrt(L), since each row of A holds two weights that sum to 1 and are
+# non-negative up to rounding, so every partial sum of p @ P, and c = -m @ W,
+# stay within the largest float over 4.
+POWER_LIMIT = sys.float_info.max / 2**32
 
 
 def label_from_rank(burn_rank: int | None) -> str | None:
@@ -151,13 +166,14 @@ def _check_metadata(parts_ground, burn_rank, **ids) -> None:
 class PowerTrace:
     """One unit's power-vs-time series plus provenance metadata.
 
-    times are seconds, strictly increasing; powers are kilowatts, all finite;
-    parts_ground counts units cut by this wheel before this one.  Each power
-    step over its time step, and the time span, must be finite too, so every
-    value `resample` gives lies, up to rounding, between two neighbouring
-    powers: within max_abs_power, the largest |power|.  Both arrays are
-    immutable copies (see `_read_only`), so the checks made here hold while
-    the trace exists, and a copy or an unpickled trace is checked again.
+    times are seconds, strictly increasing; powers are kilowatts, each
+    within POWER_LIMIT in magnitude; parts_ground counts units cut by this
+    wheel before this one.  Each power step over its time step, and the time
+    span, must be finite too, so every value `resample` gives lies, up to
+    rounding, between two neighbouring powers, and the trace can be scored
+    against any model.  Both arrays are immutable copies (see `_read_only`),
+    so the checks made here hold while the trace exists, and a copy or an
+    unpickled trace is checked again.
     times come from `_shared_times`: traces made one after another with
     bit-equal times share one array, whatever made them.
     """
@@ -168,7 +184,6 @@ class PowerTrace:
     burn_rank: int | None
     times: np.ndarray
     powers: np.ndarray
-    max_abs_power: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         times = _float_array(self.times, "times")
@@ -193,7 +208,10 @@ class PowerTrace:
                 raise ValueError("times and powers must be finite")
             raise ValueError("each power step over its time step, and the time span,"
                              " must be finite")
-        object.__setattr__(self, "max_abs_power", float(np.abs(powers).max()))
+        largest = float(np.abs(powers).max())
+        if not largest <= POWER_LIMIT:
+            raise ValueError(f"largest |power| {largest!r} kW exceeds {POWER_LIMIT!r} kW,"
+                             " the most a trace can hold to be scored without overflow")
         _check_metadata(self.parts_ground, self.burn_rank,
                         unit_id=self.unit_id, wheel_id=self.wheel_id)
 
@@ -329,10 +347,10 @@ def parse_trace_csv(
     Accepts LF or CRLF line endings and a `.` decimal separator only.  Each
     field is whatever Python's `float()` accepts, surrounding whitespace
     included (so `1_0`, `+1` and `1e5` parse; `0x10`, `1.0d0` and an empty
-    field do not).  Rejects non-numeric fields, non-finite values,
-    non-monotone time, and a row whose power step over its time step, or
-    whose time span from the first row, is not finite; row numbers in errors
-    are 1-based over data rows.
+    field do not).  Rejects non-numeric fields, non-finite values, a power
+    beyond POWER_LIMIT in magnitude, non-monotone time, and a row whose power
+    step over its time step, or whose time span from the first row, is not
+    finite; row numbers in errors are 1-based over data rows.
 
     The data rows are split into fields once, with one `str.split` over
     their join; when every row holds exactly one comma, the two columns are
@@ -376,6 +394,8 @@ def parse_trace_csv(
             raise NonNumericField(row) from None
         if not (np.isfinite(t) and np.isfinite(p)):
             raise InvalidValue(row)
+        if abs(p) > POWER_LIMIT:
+            raise InvalidValue(row, f"data row {row}: |power| exceeds {POWER_LIMIT!r} kW")
         if times and t <= times[-1]:
             raise NonMonotoneTime(row)
         if times and not math.isfinite((p - powers[-1]) / (t - times[-1])):
@@ -411,47 +431,12 @@ def serialize_trace_csv(trace: PowerTrace) -> str:
     return TRACE_HEADER + "\n" + "\n".join(rows) + "\n"
 
 
-def power_limit(length: int) -> float:
-    """Largest |power| of a trace that is resampled to `length` points and scored.
-
-    A resampled trace x stays within its max_abs_power, up to rounding.
-    When that and every |entry| of a model's mean m stay within this limit,
-    ||x - m||_2 is at most half the largest float.  With orthonormal
-    loadings and a unit-norm direction, each PCA score, LD1 and every
-    partial sum of either product are at most ||x - m||_2, so scoring
-    cannot overflow.  The same holds for a trace's powers p scored through
-    `_pull_back`'s P = A^T W without resampling: each column of P has
-    sum |P[:, c]| <= ||W[:, c]||_1 <= sqrt(length), since each row of A
-    holds two weights that sum to 1 and are non-negative up to rounding, so
-    every partial sum of p @ P stays within the largest float over 4.
-    """
-    return sys.float_info.max / (4.0 * math.sqrt(length))
-
-
 def _check_length(length) -> None:
     """Reject a resample length that is not an integer of at least 2."""
-    if length.__class__ is int and length >= 2:  # the common case; bools and numpy ints go on
-        return
     if not _is_integer(length):
         raise BadResampleLength(f"resample length must be an integer, got {length!r}")
     if length < 2:
         raise BadResampleLength(f"resample length must be >= 2, got {length}")
-
-
-def _check_scorable(trace: PowerTrace, length) -> None:
-    """The one gate for scoring a trace at `length` points, resampled or pulled back.
-
-    A length that is not an integer of at least 2 raises BadResampleLength;
-    a trace whose max_abs_power exceeds power_limit(length) raises
-    UnscorableTrace, so every trace that passes scores without overflow.
-    """
-    _check_length(length)
-    limit = power_limit(length)
-    if not trace.max_abs_power <= limit:
-        raise UnscorableTrace(
-            f"trace {trace.unit_id!r}: largest |power| {trace.max_abs_power!r} kW exceeds"
-            f" {limit!r} kW, the most it can hold to be scored without overflow"
-        )
 
 
 # np.linspace keeping its last grid, keyed on the exact (t0, t1, length), so the
@@ -464,15 +449,15 @@ _grid = functools.lru_cache(maxsize=1)(np.linspace)
 def resample(trace: PowerTrace, length: int) -> np.ndarray:
     """Power linearly interpolated at `length` equally spaced times.
 
-    `_check_scorable` gates it, so every resampled trace can be scored
-    without overflow.  The grid spans [t_first, t_last]; both endpoint
+    A length that is not an integer of at least 2 raises BadResampleLength.
+    The grid spans [t_first, t_last]; both endpoint
     values are preserved exactly, since np.linspace's ends are those times
     exactly and np.interp returns fp[j] itself where x == xp[j].  The grid
     comes from `_grid`, np.linspace behind a one-entry cache, which reuses
     the previous call's grid when (t_first, t_last, length) repeats; the
     result is always a fresh, writable array.
     """
-    _check_scorable(trace, length)
+    _check_length(length)
     times = trace.times
     return np.interp(_grid(times[0], times[-1], length), times, trace.powers)
 
@@ -579,18 +564,13 @@ def build_matrix(manifest: CampaignManifest, length: int = DEFAULT_RESAMPLE_LENG
     Every trace goes through load_trace and parse_trace_csv, so a time
     column that repeats the last one parsed is converted once and shared
     read-only, within and across calls; every trace is still checked in
-    full.  A trace that `resample` refuses as unscorable raises a
-    CampaignFileError naming its file.
+    full.  A file that does not parse into a trace, one too large to score
+    included, raises a CampaignFileError naming it.
     """
     _check_length(length)
     if not manifest.entries:
         raise EmptyCampaign("manifest has no entries")
     rows = np.empty((len(manifest.entries), length))
     for i, entry in enumerate(manifest.entries):
-        path = manifest.base_dir / entry.trace_file
-        trace = load_trace(path, entry)
-        try:
-            rows[i] = resample(trace, length)
-        except UnscorableTrace as exc:
-            raise CampaignFileError(path, exc) from exc
+        rows[i] = resample(load_trace(manifest.base_dir / entry.trace_file, entry), length)
     return TraceMatrix(values=rows, meta=manifest.entries, resample_length=length)

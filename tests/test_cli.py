@@ -118,6 +118,16 @@ def test_fit_rejects_bad_priors(work, runner, tmp_path):
     assert load_model(tmp_path / "m.json").lda.priors == (0.5, 0.5)
 
 
+@pytest.mark.parametrize("ridge", ["nan", "inf", "-1", "1e308"])
+def test_fit_rejects_a_ridge_it_cannot_use(work, runner, tmp_path, ridge):
+    result = runner.invoke(main, ["fit",
+                                  "--manifest", str(work / "camp" / "wheel1-manifest.csv"),
+                                  "--model", str(tmp_path / "m.json"), "--ridge", ridge])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error: ridge") and "Warning" not in result.stderr
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_predict_prints_table_and_confusion(work, runner):
     result = runner.invoke(main, ["predict", "--model", str(work / "model.json"),
                                   "--manifest", str(work / "camp" / "wheel2-manifest.csv")])

@@ -266,6 +266,31 @@ def test_positive_scaling_never_flips_a_decision():
         np.testing.assert_array_equal(classify(base, scores)[1], classify(scaled, c * scores)[1])
 
 
+@pytest.mark.parametrize("ridge, message", [
+    (math.nan, "ridge must be finite and non-negative, got nan"),
+    (math.inf, "ridge must be finite and non-negative, got inf"),
+    (-1.0, "ridge must be finite and non-negative, got -1.0"),
+    (True, "ridge must be a real number, got True"),
+    ("1e-8", "ridge must be a real number, got '1e-8'"),
+    (1e308, "ridge 1e+308 makes the regularized within-class scatter overflow"),
+    (1e300, "the discriminant direction underflows to zero with ridge 1e+300:"
+            " the class means are too close for the within-class scatter"),
+])
+def test_fit_refuses_a_ridge_it_cannot_use(ridge, message):
+    """Each refusal names the ridge, before any numpy warning (an error in this suite)."""
+    scores = np.array([[-2.0], [2.0], [2e-30], [0.0]])  # Sw = 4, class means 1e-30 apart
+    with pytest.raises(ValueError) as err:
+        fit_lda(scores, [N, N, B, B], ridge=ridge)
+    assert str(err.value) == message
+
+
+def test_a_huge_ridge_that_leaves_a_direction_fits():
+    """A ridge of 1e300 swamps Sw; the direction is then the class-mean difference's."""
+    scores = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 3.0], [1.0, 3.0]])
+    model = fit_lda(scores, [N, N, B, B], ridge=1e300)
+    assert model.direction.tolist() == [0.0, 1.0] and model.ridge == 1e300
+
+
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 10_000), k=st.integers(1, 3))
 def test_direction_is_unit_norm_and_oriented(seed, k):

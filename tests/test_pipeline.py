@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from grindmon import (
@@ -26,10 +26,10 @@ from grindmon import (
     serialize_trace_csv,
     table2_preset,
 )
-from grindmon.errors import ManifestError
+from grindmon.errors import BadComponentCount, CorruptModel, ManifestError
 from grindmon.lda import HealthVerdict
 from grindmon.pipeline import _spearman_vs_order
-from grindmon.traces import power_limit
+from grindmon.traces import POWER_LIMIT
 
 
 def write_noisy_campaign(tmp_path, n_per_class=6, length=24, seed=0):
@@ -132,6 +132,33 @@ def test_fit_matrix_takes_its_resample_length_from_the_matrix():
         fit_matrix(X, ["NoBurn"] * 6 + ["Burn"] * 6, "x", components=2, variance_target=0.9)
 
 
+@pytest.mark.parametrize("option, value, plain", [
+    ("components", 2.7, None),
+    ("components", 2.0, None),
+    ("components", True, None),
+    ("components", "2", None),
+    ("variance_target", "0.9", None),
+    ("variance_target", True, None),
+    ("components", np.int64(2), 2),
+    ("variance_target", np.float64(0.9), 0.9),
+])
+def test_fit_matrix_converts_no_option_value(option, value, plain):
+    """A components that is not an integer, or a variance_target that is not a real number, raises.
+
+    A numpy integer or float is a number, and fits as the Python one, `plain`.
+    """
+    rng = np.random.default_rng(5)
+    X = np.vstack([rng.normal(size=(6, 16)), rng.normal(size=(6, 16)) + 3.0])
+    labels = ["NoBurn"] * 6 + ["Burn"] * 6
+    if plain is None:
+        with pytest.raises(BadComponentCount if option == "components" else ValueError,
+                           match=option):
+            fit_matrix(X, labels, "x", **{option: value})
+    else:
+        assert (model_to_json(fit_matrix(X, labels, "x", **{option: value})[0])
+                == model_to_json(fit_matrix(X, labels, "x", **{option: plain})[0]))
+
+
 def test_confusion_matrix_skips_unlabeled_rows():
     verdicts = [
         HealthVerdict("a", 0.0, "NoBurn", -1.0),
@@ -220,13 +247,20 @@ def assert_scaled_fit(bundle, base, j):
 # Between 2**440 and 2**512 the largest entry passes about 1.5e138, where
 # LAPACK's SVD rescales the matrix by a factor that is not a power of two;
 # nothing overflows there, but the last bits may differ.  From 2**512 on,
-# fit_matrix itself rescales by 2**-k.
+# fit_matrix itself rescales by 2**-k.  Near 2**1000 the scaled mean can pass
+# POWER_LIMIT (just under 2**992), and the bundle then refuses it.
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1),
        j=st.one_of(st.integers(-200, 440), st.integers(512, 1000)))
+@example(seed=0, j=980)
+@example(seed=0, j=991)
 def test_power_of_two_rescale_scales_the_fit_exactly(seed, j):
     X, labels = two_class_problem(seed)
     base, _ = fit_matrix(X, labels, "f")
+    if not np.abs(np.ldexp(base.pca.mean, j)).max() <= POWER_LIMIT:
+        with pytest.raises(CorruptModel, match="PCA mean exceeds"):
+            fit_matrix(np.ldexp(X, j), labels, "f")
+        return
     bundle, _ = fit_matrix(np.ldexp(X, j), labels, "f")
     assert_scaled_fit(bundle, base, j)
 
@@ -256,10 +290,10 @@ def test_row_order_does_not_change_the_fit(seed):
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("scale", ["1e160", "power_limit", "2**600"])
 def test_fit_on_accepted_but_huge_powers(wheel1_manifest, scale):
-    """Powers up to power_limit(L), which build_matrix admits, fit without overflow."""
+    """Powers up to POWER_LIMIT, which build_matrix admits, fit without overflow."""
     X = build_matrix(wheel1_manifest).values
     labels = wheel1_manifest.labels()
-    c = {"1e160": 1e160, "power_limit": power_limit(X.shape[1]) / np.abs(X).max(),
+    c = {"1e160": 1e160, "power_limit": POWER_LIMIT / np.abs(X).max(),
          "2**600": 2.0**600}[scale]
     base, _ = fit_matrix(X, labels, "f")
     bundle, _ = fit_matrix(X * c, labels, "f")

@@ -39,7 +39,7 @@ from grindmon.errors import (
     TooFewSamples,
 )
 from grindmon import traces
-from grindmon.traces import MANIFEST_HEADER, TRACE_HEADER, _grid
+from grindmon.traces import MANIFEST_HEADER, POWER_LIMIT, TRACE_HEADER, _grid
 
 
 def make_trace(times, powers, **kw):
@@ -97,7 +97,8 @@ def test_parse_rejects_single_sample():
 def row_loop_parse(text):
     """The row-by-row parser as it stood before the vectorized fast path.
 
-    It has since gained the rejection of an infinite slope or time span.
+    It has since gained the rejection of an infinite slope or time span, and
+    of a power beyond POWER_LIMIT.
     """
     lines = text.splitlines()
     while lines and not lines[-1].strip():
@@ -119,6 +120,8 @@ def row_loop_parse(text):
             raise NonNumericField(row) from None
         if not (np.isfinite(t) and np.isfinite(p)):
             raise InvalidValue(row)
+        if abs(p) > POWER_LIMIT:
+            raise InvalidValue(row, f"data row {row}: |power| exceeds {POWER_LIMIT!r} kW")
         if times and t <= times[-1]:
             raise NonMonotoneTime(row)
         if times and not math.isfinite((p - powers[-1]) / (t - times[-1])):
@@ -212,6 +215,9 @@ def test_parse_matches_row_loop(text):
     # adjacent infinite times: rejected by the row loop's finiteness check, no warning
     "time_s,power_kw\n0,1\ninf,2\ninf,3\n",
     "time_s,power_kw\n-inf,1\n-inf,2\n0,3\n",
+    # a power beyond POWER_LIMIT, alone and before a later row's other fault
+    "time_s,power_kw\n0,1\n1,-1e300\n2,3\n",
+    "time_s,power_kw\n0,1e300\n0,1\n",
 ])
 def test_parse_matches_row_loop_on_fixed_cases(text):
     assert parse_outcome(parse_trace_csv, text) == parse_outcome(row_loop_parse, text)
@@ -269,7 +275,7 @@ def test_a_trace_is_read_only_and_no_writable_base_reaches_it():
     v[2], v[3] = 1.7e308, -1.7e308
     base[:] = -1.0
     assert trace.powers.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
-    assert trace.max_abs_power == 5.0
+    assert np.abs(trace.powers).max() == 5.0
     assert trace.times.tolist() == (np.arange(1, 7) * 0.05).tolist()
     assert a.flags.writeable and base.flags.writeable  # the caller's arrays are left alone
     for array in (trace.times, trace.powers):
